@@ -115,14 +115,14 @@ class ConnectionSink : public engine::EventSink {
     diag::LockGuard lock(mu_);
     holding_ = true;
   }
+  /// The held lines go out inside the same critical section that ends the
+  /// hold: a worker's next event (e.g. `finished`) blocks on mu_ until
+  /// they are on the wire, so it can never overtake them.
   void releaseEvents() {
-    std::vector<std::string> pending;
-    {
-      diag::LockGuard lock(mu_);
-      holding_ = false;
-      pending.swap(held_);
-    }
-    for (const auto& line : pending) writeLine(line);
+    diag::LockGuard lock(mu_);
+    holding_ = false;
+    for (const auto& line : held_) sendLocked(line);
+    held_.clear();
   }
 
   void writeLine(const std::string& line) { writeLine(line, false); }
@@ -130,11 +130,15 @@ class ConnectionSink : public engine::EventSink {
  private:
   void writeLine(const std::string& line, bool isEvent) {
     diag::LockGuard lock(mu_);
-    if (closed_) return;
-    if (isEvent && holding_) {
+    if (isEvent && holding_ && !closed_) {
       held_.push_back(line);
       return;
     }
+    sendLocked(line);
+  }
+
+  void sendLocked(const std::string& line) RFIC_REQUIRES(mu_) {
+    if (closed_) return;
     std::string buf = line;
     buf += '\n';
     std::size_t off = 0;

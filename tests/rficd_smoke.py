@@ -94,6 +94,50 @@ def main():
         print(f"ok   submit/stream: job {job} exit 0, "
               f"{len(out)} stdout bytes")
 
+        # 1b. Pipelined submits on one connection: with many jobs in
+        # flight, every job's `accepted` reply must precede all of its
+        # events, and nothing for a job may follow its `finished` (held
+        # events released after a submit once raced a worker's direct
+        # `finished` write).
+        pipe = Client(sock_path)
+        n_pipe, window = 1024, 32  # window stays below the queue depth
+        sent = 0
+
+        def submit_next():
+            nonlocal sent
+            pipe.send({"cmd": "submit", "netlist": divider,
+                       "label": f"pipe-{sent}"})
+            sent += 1
+
+        while sent < window:
+            submit_next()
+        accepted, finished, replies = set(), set(), 0
+        violations = []
+        while replies < n_pipe or len(finished) < len(accepted):
+            msg = pipe.recv()
+            ev = msg.get("event")
+            if ev == "accepted":
+                replies += 1
+                accepted.add(msg["job"])
+                continue
+            assert ev != "rejected", f"pipelined submit rejected: {msg}"
+            job_id = msg.get("job")
+            assert job_id is not None, f"unexpected line: {msg}"
+            if job_id not in accepted:
+                violations.append(f"job {job_id}: {ev} before accepted")
+            if job_id in finished:
+                violations.append(f"job {job_id}: {ev} after finished")
+            if ev == "finished":
+                assert msg["exit"] == 0, msg
+                finished.add(job_id)
+                if sent < n_pipe:
+                    submit_next()
+        assert not violations, violations[:10]
+        assert len(finished) == n_pipe, (len(finished), n_pipe)
+        pipe.sock.close()
+        print(f"ok   pipelined submits: {n_pipe} jobs on one connection, "
+              f"accepted-first and finished-last for every job")
+
         # 2. Repeat topology on a fresh connection: the shared engine's
         # context pool must serve a cache hit across connections.
         cli2 = Client(sock_path)
