@@ -1,5 +1,6 @@
 #include "fft/plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -315,6 +316,66 @@ RFIC_REALTIME void transformGrid2D(const Plan& rowPlan, const Plan& colPlan,
   if (nTransforms > 0) {
     perf::global().addFfts(nTransforms, t.ns());
     if (extra) extra->addFfts(nTransforms, t.ns());
+  }
+}
+
+RFIC_REALTIME void transformGridBatch(const Plan& rowPlan, const Plan& colPlan,
+                                      Complex* grids, std::size_t count,
+                                      std::size_t rows, std::size_t cols,
+                                      const std::size_t* liveCols,
+                                      std::size_t nLive, bool inverse,
+                                      perf::Counters* extra) {
+  RFIC_REQUIRE(rowPlan.size() == cols && colPlan.size() == rows,
+               "fft::transformGridBatch: plan lengths must match the grid");
+  RFIC_REQUIRE(count == 0 || grids != nullptr,
+               "fft::transformGridBatch: null grids with nonzero count");
+  RFIC_REQUIRE(nLive <= cols && (nLive == 0 || liveCols != nullptr),
+               "fft::transformGridBatch: bad live-column list");
+  for (std::size_t i = 0; i < nLive; ++i)
+    RFIC_REQUIRE(liveCols[i] < cols,
+                 "fft::transformGridBatch: live column out of range");
+  if (count == 0) return;
+  const bool doRows = cols > 1, doCols = rows > 1;
+  const std::size_t cells = rows * cols;
+  const std::size_t scratchNeed =
+      std::max(rowPlan.scratchSize(), colPlan.scratchSize());
+  perf::Timer t;
+  perf::ThreadPool::global().parallelFor(
+      count,
+      [&](std::size_t g) {
+        Complex* x = grids + g * cells;
+        ScratchLease scratch(tlScratch, tlScratchBusy, scratchNeed);
+        ScratchLease column(tlColumn, tlColumnBusy, rows);
+        Complex* col = column.get();
+        const auto rowPass = [&] {
+          for (std::size_t r = 0; r < rows; ++r) {
+            if (inverse)
+              rowPlan.inverse(x + r * cols, scratch.get());
+            else
+              rowPlan.forward(x + r * cols, scratch.get());
+          }
+        };
+        if (doRows && !inverse) rowPass();
+        if (doCols) {
+          for (std::size_t i = 0; i < nLive; ++i) {
+            const std::size_t c = liveCols[i];
+            for (std::size_t r = 0; r < rows; ++r) col[r] = x[r * cols + c];
+            if (inverse)
+              colPlan.inverse(col, scratch.get());
+            else
+              colPlan.forward(col, scratch.get());
+            for (std::size_t r = 0; r < rows; ++r) x[r * cols + c] = col[r];
+          }
+        }
+        if (doRows && inverse) rowPass();
+      },
+      // A grid of ≥1024 cells amortizes one dispatch on its own; batch
+      // smaller (single-tone) grids so a chunk covers ~1024 cells.
+      cells >= 1024 ? 1 : std::size_t{1024} / cells);
+  const std::uint64_t perGrid = (doRows ? rows : 0) + (doCols ? nLive : 0);
+  if (perGrid > 0) {
+    perf::global().addFfts(count * perGrid, t.ns());
+    if (extra) extra->addFfts(count * perGrid, t.ns());
   }
 }
 

@@ -14,9 +14,9 @@
 //
 // Execution never allocates: the radix-2 path is in-place, and the
 // Bluestein path writes through caller scratch (scratchSize() complex
-// slots). transformColumns()/transformGrid2D() are the batched entry
-// points the hot loops use — they run columns on the process ThreadPool
-// above a grain threshold, reuse per-thread scratch, and feed the
+// slots). transformColumns()/transformGrid2D()/transformGridBatch() are the
+// batched entry points the hot loops use — they run on the process
+// ThreadPool above a grain threshold, reuse per-thread scratch, and feed the
 // fftCount/fftNs/planCache perf counters.
 #pragma once
 
@@ -123,5 +123,24 @@ RFIC_REALTIME void transformGrid2D(const Plan& rowPlan, const Plan& colPlan,
                                    Complex* x, std::size_t rows,
                                    std::size_t cols, bool inverse,
                                    perf::Counters* extra = nullptr);
+
+/// Batched, column-pruned 2-D DFT of `count` rows×cols row-major grids
+/// stored back to back at `grids` (grid i starts at grids + i·rows·cols).
+/// Along the column (length-rows) axis only the columns listed in
+/// liveCols[0..nLive) are transformed; every row is. The inverse runs the
+/// live columns first, then the rows — exact when each grid is zero
+/// outside its live columns (the spectrum of a harmonic-balance signal).
+/// The forward runs the rows first, then the live columns — exact in the
+/// live columns, which are the only ones the caller may read afterwards.
+/// Each grid is transformed start to finish by one lane while the pool
+/// fans out over grids, so results do not depend on the lane count.
+/// fftCount counts the 1-D transforms executed (rows + nLive per grid,
+/// length-1 axes skipped); normalization as in transformColumns.
+RFIC_REALTIME void transformGridBatch(const Plan& rowPlan, const Plan& colPlan,
+                                      Complex* grids, std::size_t count,
+                                      std::size_t rows, std::size_t cols,
+                                      const std::size_t* liveCols,
+                                      std::size_t nLive, bool inverse,
+                                      perf::Counters* extra = nullptr);
 
 }  // namespace rfic::fft

@@ -1,5 +1,6 @@
 #include "hb/harmonic_balance.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -76,6 +77,22 @@ HarmonicBalance::HarmonicBalance(const MnaSystem& sys, std::vector<Tone> tones,
   // the m1 (tone-1) axis of the bivariate grid.
   rowPlan_ = fft::PlanCache::global().get(m2_);
   colPlan_ = fft::PlanCache::global().get(m1_);
+
+  // Index map. m ≥ 2H+2 on each axis keeps every retained bin and every
+  // mirror distinct, so the scatter below writes each grid cell at most
+  // once.
+  const auto wrap = [](int k, std::size_t m) {
+    return static_cast<std::size_t>(k < 0 ? k + static_cast<int>(m) : k);
+  };
+  binPos_.resize(indices_.size());
+  binMirror_.resize(indices_.size());
+  for (std::size_t j = 0; j < indices_.size(); ++j) {
+    const int k1 = indices_[j][0], k2 = indices_[j][1];
+    binPos_[j] = wrap(k1, m1_) * m2_ + wrap(k2, m2_);
+    binMirror_[j] = wrap(-k1, m1_) * m2_ + wrap(-k2, m2_);
+  }
+  const int ih2 = dims() == 2 ? static_cast<int>(tones_[1].harmonics) : 0;
+  for (int k2 = -ih2; k2 <= ih2; ++k2) liveCols_.push_back(wrap(k2, m2_));
 }
 
 Real HarmonicBalance::omega(std::size_t idx) const {
@@ -96,56 +113,103 @@ std::pair<Real, Real> HarmonicBalance::sampleTimes(std::size_t s) const {
   return {t1, t2};
 }
 
+// Both transforms pair unknowns: grid p carries z = x_u + i·x_v for
+// u = 2p, v = 2p + 1 (v = 0 when n is odd and u is the last unknown), so
+// one complex 2-D DFT serves two real signals. Along the tone-1 axis only
+// the live columns are transformed (fft::transformGridBatch).
+
 void HarmonicBalance::spectrumToTime(const CMat& coeffs, RMat& samples) const {
   RFIC_CHECK_DIMS(coeffs.rows(), n_, "HB::spectrumToTime coeffs rows");
   RFIC_CHECK_DIMS(coeffs.cols(), indices_.size(),
                   "HB::spectrumToTime coeffs cols");
   RFIC_CHECK_FINITE(coeffs, "HB::spectrumToTime coeffs");
+  const std::size_t pairs = (n_ + 1) / 2;
   work_.need(samples, n_, msamp_);
-  work_.need(work_.grid, n_ * msamp_);
+  work_.need(work_.grid, pairs * msamp_);
   const Real scale = static_cast<Real>(msamp_);
-  // Each unknown owns a disjoint grid slice, so the per-unknown
-  // scatter/transform/gather pipeline fans out across the pool; the grid2D
-  // call below detects the nesting and runs its own sweep inline.
-  perf::ThreadPool::global().parallelFor(n_, [&](std::size_t u) {
-    Complex* grid = work_.grid.data() + u * msamp_;
-    std::fill(grid, grid + msamp_, Complex{});
-    for (std::size_t j = 0; j < indices_.size(); ++j) {
-      const int k1 = indices_[j][0], k2 = indices_[j][1];
-      const std::size_t a = static_cast<std::size_t>((k1 % static_cast<int>(m1_) + static_cast<int>(m1_))) % m1_;
-      const std::size_t b = static_cast<std::size_t>((k2 % static_cast<int>(m2_) + static_cast<int>(m2_))) % m2_;
-      grid[a * m2_ + b] += coeffs(u, j) * scale;
-      if (j != 0) {
-        const std::size_t am = (m1_ - a) % m1_;
-        const std::size_t bm = (m2_ - b) % m2_;
-        grid[am * m2_ + bm] += std::conj(coeffs(u, j)) * scale;
-      }
-    }
-    fft::transformGrid2D(*rowPlan_, *colPlan_, grid, m1_, m2_, true,
-                         &fftCounters_);
-    for (std::size_t s = 0; s < msamp_; ++s) samples(u, s) = grid[s].real();
-  });
+  const std::size_t grain = std::size_t{4096} / msamp_ + 1;
+  auto& pool = perf::ThreadPool::global();
+  // Scatter Z(k) = X_u(k) + i·X_v(k) and Z(−k) = conj X_u(k) + i·conj X_v(k).
+  pool.parallelFor(
+      pairs,
+      [&](std::size_t p) {
+        Complex* grid = work_.grid.data() + p * msamp_;
+        const std::size_t u = 2 * p;
+        const bool hasV = u + 1 < n_;
+        std::fill(grid, grid + msamp_, Complex{});
+        grid[0] = Complex(coeffs(u, 0).real(),
+                          hasV ? coeffs(u + 1, 0).real() : 0.0) *
+                  scale;
+        for (std::size_t j = 1; j < indices_.size(); ++j) {
+          const Complex xu = coeffs(u, j) * scale;
+          const Complex xv = hasV ? coeffs(u + 1, j) * scale : Complex{};
+          grid[binPos_[j]] = Complex(xu.real() - xv.imag(),
+                                     xu.imag() + xv.real());
+          grid[binMirror_[j]] = Complex(xu.real() + xv.imag(),
+                                        xv.real() - xu.imag());
+        }
+      },
+      grain);
+  fft::transformGridBatch(*rowPlan_, *colPlan_, work_.grid.data(), pairs, m1_,
+                          m2_, liveCols_.data(), liveCols_.size(), true,
+                          &fftCounters_);
+  pool.parallelFor(
+      pairs,
+      [&](std::size_t p) {
+        const Complex* grid = work_.grid.data() + p * msamp_;
+        const std::size_t u = 2 * p;
+        for (std::size_t s = 0; s < msamp_; ++s) samples(u, s) = grid[s].real();
+        if (u + 1 < n_)
+          for (std::size_t s = 0; s < msamp_; ++s)
+            samples(u + 1, s) = grid[s].imag();
+      },
+      grain);
 }
 
 void HarmonicBalance::timeToSpectrum(const RMat& samples, CMat& coeffs) const {
   RFIC_CHECK_DIMS(samples.rows(), n_, "HB::timeToSpectrum samples rows");
   RFIC_CHECK_DIMS(samples.cols(), msamp_, "HB::timeToSpectrum samples cols");
   RFIC_CHECK_FINITE(samples, "HB::timeToSpectrum samples");
+  const std::size_t pairs = (n_ + 1) / 2;
   work_.need(coeffs, n_, indices_.size());
-  work_.need(work_.grid, n_ * msamp_);
-  const Real inv = 1.0 / static_cast<Real>(msamp_);
-  perf::ThreadPool::global().parallelFor(n_, [&](std::size_t u) {
-    Complex* grid = work_.grid.data() + u * msamp_;
-    for (std::size_t s = 0; s < msamp_; ++s) grid[s] = samples(u, s);
-    fft::transformGrid2D(*rowPlan_, *colPlan_, grid, m1_, m2_, false,
-                         &fftCounters_);
-    for (std::size_t j = 0; j < indices_.size(); ++j) {
-      const int k1 = indices_[j][0], k2 = indices_[j][1];
-      const std::size_t a = static_cast<std::size_t>((k1 % static_cast<int>(m1_) + static_cast<int>(m1_))) % m1_;
-      const std::size_t b = static_cast<std::size_t>((k2 % static_cast<int>(m2_) + static_cast<int>(m2_))) % m2_;
-      coeffs(u, j) = grid[a * m2_ + b] * inv;
-    }
-  });
+  work_.need(work_.grid, pairs * msamp_);
+  const Real half = 0.5 / static_cast<Real>(msamp_);
+  const std::size_t grain = std::size_t{4096} / msamp_ + 1;
+  auto& pool = perf::ThreadPool::global();
+  pool.parallelFor(
+      pairs,
+      [&](std::size_t p) {
+        Complex* grid = work_.grid.data() + p * msamp_;
+        const std::size_t u = 2 * p;
+        if (u + 1 < n_) {
+          for (std::size_t s = 0; s < msamp_; ++s)
+            grid[s] = Complex(samples(u, s), samples(u + 1, s));
+        } else {
+          for (std::size_t s = 0; s < msamp_; ++s) grid[s] = samples(u, s);
+        }
+      },
+      grain);
+  fft::transformGridBatch(*rowPlan_, *colPlan_, work_.grid.data(), pairs, m1_,
+                          m2_, liveCols_.data(), liveCols_.size(), false,
+                          &fftCounters_);
+  // Separate: X_u(k) = (Z(k) + conj Z(−k))/2, X_v(k) = (Z(k) − conj Z(−k))/2i.
+  pool.parallelFor(
+      pairs,
+      [&](std::size_t p) {
+        const Complex* grid = work_.grid.data() + p * msamp_;
+        const std::size_t u = 2 * p;
+        const bool hasV = u + 1 < n_;
+        for (std::size_t j = 0; j < indices_.size(); ++j) {
+          const Complex z = grid[binPos_[j]];
+          const Complex zm = std::conj(grid[binMirror_[j]]);
+          coeffs(u, j) = (z + zm) * half;
+          if (hasV) {
+            const Complex d = z - zm;
+            coeffs(u + 1, j) = Complex(d.imag(), -d.real()) * half;
+          }
+        }
+      },
+      grain);
 }
 
 void HarmonicBalance::packReal(const CMat& coeffs, RVec& v) const {

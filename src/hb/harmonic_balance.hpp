@@ -115,6 +115,17 @@ class HarmonicBalance {
     return indices_;
   }
 
+  /// Spectral transforms between retained coefficients (#unknowns ×
+  /// #indices, canonical order) and bivariate time samples (#unknowns ×
+  /// m1·m2: m1 tone-1 rows × m2 tone-2 columns, m2 = 1 for one tone,
+  /// sample (a, b) at flat index a·m2 + b). spectrumToTime reads only Re of
+  /// the DC coefficient: the samples are real. timeToSpectrum returns the
+  /// retained bins of the samples' 2-D DFT, scaled by 1/(m1·m2). Both
+  /// replay the engine's cached plans and workspace, so they must not run
+  /// concurrently with solve() on the same instance.
+  void spectrumToTime(const CMat& coeffs, numeric::RMat& samples) const;
+  void timeToSpectrum(const numeric::RMat& samples, CMat& coeffs) const;
+
   /// Workspace buffer-growth events since construction. Every hot-loop
   /// buffer (spectral grids, Jacobian/preconditioner scratch, GMRES state)
   /// grows to its high-water mark during the first Newton iteration and is
@@ -136,9 +147,7 @@ class HarmonicBalance {
   Real omega(std::size_t idx) const;  ///< angular frequency of indices_[idx]
 
   // Pack/unpack between the real Newton vector and per-node complex
-  // spectra, and between spectra and bivariate time samples.
-  void spectrumToTime(const CMat& coeffs, numeric::RMat& samples) const;
-  void timeToSpectrum(const numeric::RMat& samples, CMat& coeffs) const;
+  // spectra.
   void packReal(const CMat& coeffs, RVec& v) const;
   void unpackReal(const RVec& v, CMat& coeffs) const;
   /// Bivariate sample instants of flat sample index s = a·m2 + b.
@@ -156,6 +165,12 @@ class HarmonicBalance {
   // construction: colPlan_ transforms the m1 (tone-1) axis, rowPlan_ the
   // m2 (tone-2) axis of the bivariate grid.
   std::shared_ptr<const fft::Plan> rowPlan_, colPlan_;
+  // Harmonic→grid index map, built once: retained index j lives at flat
+  // grid position binPos_[j] and its conjugate mirror (−k1, −k2) at
+  // binMirror_[j] (both 0 for DC). liveCols_ lists the grid columns (tone-2
+  // bins) that hold a retained harmonic — the only columns the spectral
+  // transforms run along the tone-1 axis.
+  std::vector<std::size_t> binPos_, binMirror_, liveCols_;
 
   /// Every buffer the matrix-implicit inner path touches, owned by the
   /// engine so it survives across Newton iterations and GMRES calls.
@@ -167,7 +182,7 @@ class HarmonicBalance {
   /// workspace handoff between solveAttempt, HBOperator::apply, and
   /// HBBlockPreconditioner::apply all happens inside one exclusive scope).
   struct HBWorkspace {
-    numeric::CVec grid;                  ///< batched n×(m1·m2) spectral grids
+    numeric::CVec grid;  ///< ⌈n/2⌉ paired (x_u + i·x_v) m1×m2 grids
     numeric::CMat ySpec, gSpec, cSpec;   ///< HBOperator::apply spectra
     numeric::CMat rSpec;                 ///< HBOperator::apply result
     numeric::RMat ySamp, gy, cy;         ///< HBOperator::apply time samples

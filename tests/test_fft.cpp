@@ -5,10 +5,12 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 #include <thread>
 
 #include "fft/fft.hpp"
 #include "fft/plan.hpp"
+#include "perf/perf.hpp"
 #include "perf/thread_pool.hpp"
 
 namespace rfic::fft {
@@ -306,6 +308,97 @@ TEST(Plan, Grid2DNestsInsidePoolTasks) {
     for (std::size_t i = 0; i < grid.size(); ++i)
       EXPECT_NEAR(std::abs(nested[t][i] - expected[i]), 0.0, 1e-9)
           << "task " << t << " index " << i;
+}
+
+// transformGridBatch against transformGrid2D, one grid at a time. The
+// inverse input is zero outside the live columns, so skipping the dead
+// columns skips only transforms of zeros; the forward output is compared
+// in the live columns, the only ones the batch defines. The forward runs
+// the same passes in the same order as transformGrid2D and must match it
+// to the last bit; the inverse runs the columns first, so it matches to
+// rounding. Either way the result must not depend on the lane count.
+struct GridCase {
+  std::size_t rows, cols;
+  std::vector<std::size_t> live;
+};
+
+std::string gridCaseName(const GridCase& gc) {
+  return std::to_string(gc.rows) + "x" + std::to_string(gc.cols) + "_live" +
+         std::to_string(gc.live.size());
+}
+
+void PrintTo(const GridCase& gc, std::ostream* os) { *os << gridCaseName(gc); }
+
+class GridBatchCases : public ::testing::TestWithParam<GridCase> {};
+
+TEST_P(GridBatchCases, MatchesGrid2DOnLiveColumns) {
+  const GridCase& gc = GetParam();
+  const std::size_t rows = gc.rows, cols = gc.cols, cells = rows * cols;
+  const std::size_t count = 3;
+  const Plan rowPlan(cols), colPlan(rows);
+  std::vector<bool> isLive(cols, false);
+  for (const std::size_t c : gc.live) isLive[c] = true;
+  const std::uint64_t perGrid =
+      (cols > 1 ? rows : 0) + (rows > 1 ? gc.live.size() : 0);
+
+  for (const bool inverse : {true, false}) {
+    std::vector<Complex> input = randomSignal(count * cells, 900 + cells);
+    if (inverse)
+      for (std::size_t i = 0; i < input.size(); ++i)
+        if (!isLive[i % cols]) input[i] = Complex{};
+    std::vector<Complex> expected = input;
+    for (std::size_t g = 0; g < count; ++g)
+      transformGrid2D(rowPlan, colPlan, expected.data() + g * cells, rows,
+                      cols, inverse);
+
+    std::vector<Complex> oneLane;
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+      const perf::ThreadPool::ScopedLaneCap cap(lanes);
+      std::vector<Complex> got = input;
+      perf::Counters counters;
+      transformGridBatch(rowPlan, colPlan, got.data(), count, rows, cols,
+                         gc.live.data(), gc.live.size(), inverse, &counters);
+      EXPECT_EQ(counters.snapshot().fftCount, count * perGrid);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (!inverse && !isLive[i % cols]) continue;
+        if (inverse) {
+          ASSERT_NEAR(std::abs(got[i] - expected[i]), 0.0, 1e-14)
+              << "lanes=" << lanes << " i=" << i;
+        } else {
+          ASSERT_EQ(got[i], expected[i]) << "lanes=" << lanes << " i=" << i;
+        }
+      }
+      if (lanes == 1) {
+        oneLane = got;
+      } else {
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got[i], oneLane[i]) << "inverse=" << inverse << " i=" << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GridBatchCases,
+    ::testing::Values(GridCase{8, 1, {0}},                  // one tone
+                      GridCase{16, 16, {0, 1, 2, 14, 15}},  // two tones, H2=2
+                      GridCase{32, 8, {0, 1, 2, 3, 5, 6, 7}},
+                      GridCase{6, 10, {0, 3, 9}},           // Bluestein axes
+                      GridCase{4, 4, {}}),                  // rows only
+    [](const ::testing::TestParamInfo<GridCase>& info) {
+      return gridCaseName(info.param);
+    });
+
+TEST(Plan, GridBatchRejectsBadLiveColumns) {
+  const Plan rowPlan(4), colPlan(4);
+  std::vector<Complex> grid(16);
+  const std::size_t bad[] = {4};
+  EXPECT_THROW(transformGridBatch(rowPlan, colPlan, grid.data(), 1, 4, 4, bad,
+                                  1, false),
+               InvalidArgument);
+  EXPECT_THROW(transformGridBatch(rowPlan, colPlan, grid.data(), 1, 4, 8, bad,
+                                  1, false),
+               InvalidArgument);
 }
 
 TEST(PlanCache, SecondRequestIsASharedHit) {

@@ -3,18 +3,24 @@
 // ablation (direct vs matrix-implicit GMRES), and spectrum utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "analysis/dc.hpp"
 #include "analysis/shooting.hpp"
 #include "circuit/devices.hpp"
 #include "circuit/semiconductors.hpp"
 #include "circuit/sources.hpp"
+#include "fft/fft.hpp"
 #include "fft/plan.hpp"
 #include "hb/harmonic_balance.hpp"
 #include "hb/spectrum.hpp"
 #include "perf/perf.hpp"
+#include "perf/thread_pool.hpp"
 
 namespace rfic::hb {
 namespace {
@@ -242,6 +248,199 @@ TEST(HB, SteadyStateSolveIsAllocationFree) {
   EXPECT_GT(perf::global().snapshot().fftCount, fftsBefore);
   // And the per-solution counters saw the spectral work too.
   EXPECT_GT(again.perf.fftCount, 0u);
+}
+
+// ---------- Spectral transforms: paired, column-pruned vs full grid -----
+
+// Grid bin of harmonic k on an axis of length m (|k| < m).
+std::size_t wrapBin(int k, std::size_t m) {
+  return static_cast<std::size_t>((k + static_cast<int>(m)) %
+                                  static_cast<int>(m));
+}
+
+// The transforms the engine ran before unknowns were paired: one complex
+// m1×m2 transformGrid2D per real signal, over the whole grid.
+numeric::RMat referenceToTime(const HarmonicBalance& eng, std::size_t m1,
+                              std::size_t m2, const CMat& coeffs) {
+  const auto& idx = eng.retainedIndices();
+  const std::size_t ms = m1 * m2;
+  const auto rowPlan = fft::PlanCache::global().get(m2);
+  const auto colPlan = fft::PlanCache::global().get(m1);
+  numeric::RMat samples(coeffs.rows(), ms);
+  std::vector<Complex> grid(ms);
+  for (std::size_t u = 0; u < coeffs.rows(); ++u) {
+    std::fill(grid.begin(), grid.end(), Complex{});
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      const int k1 = idx[j][0], k2 = idx[j][1];
+      grid[wrapBin(k1, m1) * m2 + wrapBin(k2, m2)] +=
+          coeffs(u, j) * static_cast<Real>(ms);
+      if (j != 0)
+        grid[wrapBin(-k1, m1) * m2 + wrapBin(-k2, m2)] +=
+            std::conj(coeffs(u, j)) * static_cast<Real>(ms);
+    }
+    fft::transformGrid2D(*rowPlan, *colPlan, grid.data(), m1, m2, true);
+    for (std::size_t s = 0; s < ms; ++s) samples(u, s) = grid[s].real();
+  }
+  return samples;
+}
+
+CMat referenceToSpectrum(const HarmonicBalance& eng, std::size_t m1,
+                         std::size_t m2, const numeric::RMat& samples) {
+  const auto& idx = eng.retainedIndices();
+  const std::size_t ms = m1 * m2;
+  const auto rowPlan = fft::PlanCache::global().get(m2);
+  const auto colPlan = fft::PlanCache::global().get(m1);
+  CMat coeffs(samples.rows(), idx.size());
+  std::vector<Complex> grid(ms);
+  for (std::size_t u = 0; u < samples.rows(); ++u) {
+    for (std::size_t s = 0; s < ms; ++s) grid[s] = samples(u, s);
+    fft::transformGrid2D(*rowPlan, *colPlan, grid.data(), m1, m2, false);
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      const std::size_t bin =
+          wrapBin(idx[j][0], m1) * m2 + wrapBin(idx[j][1], m2);
+      coeffs(u, j) = grid[bin] / static_cast<Real>(ms);
+    }
+  }
+  return coeffs;
+}
+
+struct SpectralCase {
+  std::vector<std::size_t> harmonics;  ///< one entry per tone
+  std::size_t oversample;              ///< 1 → smallest grid, m = 2^⌈lg(2H+2)⌉
+  std::size_t unknowns;
+};
+
+std::string spectralCaseName(const SpectralCase& sc) {
+  std::string name = "H" + std::to_string(sc.harmonics[0]);
+  for (std::size_t t = 1; t < sc.harmonics.size(); ++t)
+    name += "x" + std::to_string(sc.harmonics[t]);
+  return name + "_os" + std::to_string(sc.oversample) + "_n" +
+         std::to_string(sc.unknowns);
+}
+
+void PrintTo(const SpectralCase& sc, std::ostream* os) {
+  *os << spectralCaseName(sc);
+}
+
+class HBSpectral : public ::testing::TestWithParam<SpectralCase> {};
+
+TEST_P(HBSpectral, PairedTransformsMatchFullGrid) {
+  const SpectralCase& sc = GetParam();
+  // A resistor ladder with no sources: exactly `unknowns` node voltages.
+  Circuit c;
+  int prev = -1;
+  for (std::size_t i = 0; i < sc.unknowns; ++i) {
+    const int nd = c.node("n" + std::to_string(i));
+    c.add<Resistor>("Rg" + std::to_string(i), nd, -1, 1e3);
+    if (prev >= 0) c.add<Resistor>("Rs" + std::to_string(i), prev, nd, 1e2);
+    prev = nd;
+  }
+  MnaSystem sys(c);
+  ASSERT_EQ(sys.dim(), sc.unknowns);
+  std::vector<Tone> tones;
+  for (std::size_t t = 0; t < sc.harmonics.size(); ++t)
+    tones.push_back({1e6 * static_cast<Real>(t + 1) * 1.3, sc.harmonics[t]});
+  HBOptions opts;
+  opts.oversample = sc.oversample;
+  const HarmonicBalance eng(sys, tones, opts);
+  // The grid the engine sizes: m = 2^⌈lg max(oversample·H, 2H+2)⌉ per tone.
+  const auto gridLen = [&](std::size_t h) {
+    return fft::nextPowerOfTwo(std::max(sc.oversample * h, 2 * h + 2));
+  };
+  const std::size_t m1 = gridLen(sc.harmonics[0]);
+  const std::size_t m2 = tones.size() == 2 ? gridLen(sc.harmonics[1]) : 1;
+  ASSERT_EQ(eng.numTimeSamples(), m1 * m2);
+  const std::size_t n = sc.unknowns, nidx = eng.retainedIndices().size();
+
+  // Random retained spectrum; the DC entries carry a nonzero imaginary part,
+  // which the transform must ignore (the samples are real).
+  std::mt19937_64 rng(17 + n + nidx);
+  std::uniform_real_distribution<Real> dist(-1.0, 1.0);
+  CMat coeffs(n, nidx);
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t j = 0; j < nidx; ++j)
+      coeffs(u, j) = Complex(dist(rng), dist(rng));
+
+  // Inverse: spectrum → time.
+  numeric::RMat samples(n, m1 * m2);
+  eng.spectrumToTime(coeffs, samples);
+  const numeric::RMat refSamples = referenceToTime(eng, m1, m2, coeffs);
+  const Real tolT = 1e-13 * static_cast<Real>(2 * nidx);
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t s = 0; s < m1 * m2; ++s)
+      ASSERT_NEAR(samples(u, s), refSamples(u, s), tolT) << "u=" << u;
+
+  // Forward: time → spectrum, on independent random samples.
+  numeric::RMat x(n, m1 * m2);
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t s = 0; s < m1 * m2; ++s) x(u, s) = dist(rng);
+  CMat spec(n, nidx);
+  eng.timeToSpectrum(x, spec);
+  const CMat refSpec = referenceToSpectrum(eng, m1, m2, x);
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t j = 0; j < nidx; ++j)
+      ASSERT_NEAR(std::abs(spec(u, j) - refSpec(u, j)), 0.0, 1e-14)
+          << "u=" << u << " j=" << j;
+
+  // Round trip: the retained spectrum comes back, with Re of the DC entry.
+  CMat back(n, nidx);
+  eng.timeToSpectrum(samples, back);
+  for (std::size_t u = 0; u < n; ++u) {
+    EXPECT_NEAR(back(u, 0).real(), coeffs(u, 0).real(), 1e-13);
+    EXPECT_EQ(back(u, 0).imag(), 0.0);
+    for (std::size_t j = 1; j < nidx; ++j)
+      ASSERT_NEAR(std::abs(back(u, j) - coeffs(u, j)), 0.0, 1e-13)
+          << "u=" << u << " j=" << j;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, HBSpectral,
+    ::testing::Values(SpectralCase{{5}, 4, 4},     // one tone, even n
+                      SpectralCase{{3}, 1, 3},     // one tone, smallest grid
+                      SpectralCase{{1}, 1, 1},     // lone unknown paired w/ 0
+                      SpectralCase{{4, 3}, 4, 5},  // two tones, odd n
+                      SpectralCase{{2, 2}, 1, 2},  // two tones, smallest grid
+                      SpectralCase{{3, 1}, 1, 1}),
+    [](const ::testing::TestParamInfo<SpectralCase>& info) {
+      return spectralCaseName(info.param);
+    });
+
+TEST(HB, SolveIsBitwiseIdenticalAcrossLaneCounts) {
+  // Each paired grid is transformed start to finish by one lane, so a
+  // solve on one lane and on four (capped by the pool's size) must agree
+  // to the last bit — iteration counts and every coefficient.
+  Circuit c;
+  const int a = c.node("a"), s2 = c.node("s2"), b = c.node("b");
+  const int br1 = c.allocBranch("V1"), br2 = c.allocBranch("V2");
+  c.add<VSource>("V1", a, -1, br1, std::make_shared<SineWave>(0.3, 10e6),
+                 TimeAxis::slow);
+  c.add<VSource>("V2", s2, a, br2, std::make_shared<SineWave>(0.3, 13e6),
+                 TimeAxis::fast);
+  c.add<Resistor>("Rs", s2, b, 500.0);
+  c.add<Diode>("D1", b, -1, Diode::Params{});
+  c.add<Resistor>("RL", b, -1, 2000.0);
+  c.add<Capacitor>("CL", b, -1, 1e-12);
+  MnaSystem sys(c);
+  const auto dc = dcOperatingPoint(sys);
+  const auto solveOn = [&](std::size_t lanes) {
+    const perf::ThreadPool::ScopedLaneCap cap(lanes);
+    const HarmonicBalance eng(sys, {{10e6, 6}, {13e6, 6}});
+    return eng.solve(dc.x);
+  };
+  const auto one = solveOn(1);
+  const auto four = solveOn(4);
+  ASSERT_TRUE(one.converged);
+  ASSERT_TRUE(four.converged);
+  EXPECT_EQ(one.newtonIterations, four.newtonIterations);
+  EXPECT_EQ(one.gmresIterations, four.gmresIterations);
+  ASSERT_EQ(one.coeffs.rows(), four.coeffs.rows());
+  ASSERT_EQ(one.coeffs.cols(), four.coeffs.cols());
+  for (std::size_t u = 0; u < one.coeffs.rows(); ++u)
+    for (std::size_t j = 0; j < one.coeffs.cols(); ++j) {
+      ASSERT_EQ(one.coeffs(u, j).real(), four.coeffs(u, j).real());
+      ASSERT_EQ(one.coeffs(u, j).imag(), four.coeffs(u, j).imag());
+    }
 }
 
 TEST(Spectrum, DbcReferencesStrongestLine) {
