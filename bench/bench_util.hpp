@@ -9,11 +9,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "perf/perf.hpp"
+#include "perf/thread_pool.hpp"
 
 namespace rfic::bench {
 
@@ -113,8 +115,14 @@ class JsonReporter {
       std::fprintf(stderr, "JsonReporter: cannot write %s\n", path.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"quick\": %s",
-                 escaped(name_).c_str(), quickMode() ? "true" : "false");
+    // The machine fingerprint (hardware threads, pool lanes) lets
+    // tools/bench_compare.py refuse to rank timings across machines.
+    std::fprintf(f,
+                 "{\n  \"bench\": \"%s\",\n  \"quick\": %s,\n"
+                 "  \"nproc\": %u,\n  \"lanes\": %zu",
+                 escaped(name_).c_str(), quickMode() ? "true" : "false",
+                 std::thread::hardware_concurrency(),
+                 perf::ThreadPool::global().concurrency());
     for (const auto& [key, literal] : entries_)
       std::fprintf(f, ",\n  \"%s\": %s", escaped(key).c_str(),
                    literal.c_str());

@@ -19,13 +19,6 @@ void MnaSystem::evalBivariate(const RVec& x, Real t1, Real t2, MnaEval& e,
   for (const auto& dev : ckt_.devices()) dev->stamp(x, xPrev, s);
 }
 
-void MnaSystem::denseJacobians(const RVec& x, Real t, RMat& g, RMat& c) const {
-  MnaEval e;
-  evalBivariate(x, t, t, e, true);
-  g = e.G.toDense();
-  c = e.C.toDense();
-}
-
 std::vector<NoiseSource> MnaSystem::noiseSources(const RVec& x) const {
   std::vector<NoiseSource> out;
   for (const auto& dev : ckt_.devices()) dev->noiseSources(x, out);

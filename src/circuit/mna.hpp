@@ -42,10 +42,6 @@ class MnaSystem {
   void evalBivariate(const RVec& x, Real t1, Real t2, MnaEval& e,
                      bool wantMatrices, const RVec* xPrev = nullptr) const;
 
-  /// Dense Jacobians at (x, t) — convenience for the dense-path analyses
-  /// (shooting, small-circuit Newton, Floquet).
-  void denseJacobians(const RVec& x, Real t, RMat& g, RMat& c) const;
-
   /// Collect all device noise generators at operating point x.
   std::vector<NoiseSource> noiseSources(const RVec& x) const;
 

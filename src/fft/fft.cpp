@@ -1,16 +1,6 @@
 #include "fft/fft.hpp"
 
-#include "diag/contracts.hpp"
-#include "fft/plan.hpp"
-
 namespace rfic::fft {
-
-// The free functions are convenience shims over the planned engine: every
-// call routes through PlanCache::global(), so twiddle tables, bit-reversal
-// permutations, and Bluestein kernels are computed once per length
-// process-wide. Hot loops that cannot afford per-call vectors (HB/MPDE
-// inner paths) hold their plans and buffers directly; these entry points
-// exist for setup code, tests, and one-shot analyses.
 
 bool isPowerOfTwo(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
@@ -18,60 +8,6 @@ std::size_t nextPowerOfTwo(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-void fft(std::vector<Complex>& x) {
-  RFIC_CHECK_FINITE(x, "fft: input");
-  if (x.size() <= 1) return;
-  const auto plan = PlanCache::global().get(x.size());
-  transformColumns(*plan, x.data(), 1, false);
-}
-
-void ifft(std::vector<Complex>& x) {
-  RFIC_CHECK_FINITE(x, "ifft: input");
-  if (x.size() <= 1) return;
-  const auto plan = PlanCache::global().get(x.size());
-  transformColumns(*plan, x.data(), 1, true);
-}
-
-std::vector<Complex> rfft(const std::vector<Real>& x) {
-  RFIC_REQUIRE(!x.empty(), "rfft: empty input");
-  std::vector<Complex> c(x.begin(), x.end());
-  fft(c);
-  c.resize(x.size() / 2 + 1);
-  return c;
-}
-
-std::vector<Real> irfft(const std::vector<Complex>& half, std::size_t n) {
-  // n == 0 would pass the size check below (0/2 + 1 == 1) and then write
-  // half[0] into an empty buffer — reject it explicitly.
-  RFIC_REQUIRE(n > 0, "irfft: zero output length");
-  RFIC_REQUIRE(half.size() == n / 2 + 1, "irfft: half spectrum size mismatch");
-  std::vector<Complex> full(n);
-  for (std::size_t k = 0; k < half.size(); ++k) full[k] = half[k];
-  for (std::size_t k = half.size(); k < n; ++k) full[k] = std::conj(full[n - k]);
-  ifft(full);
-  std::vector<Real> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = full[i].real();
-  return out;
-}
-
-void fft2(std::vector<Complex>& x, std::size_t rows, std::size_t cols) {
-  RFIC_REQUIRE(x.size() == rows * cols, "fft2 size mismatch");
-  if (x.empty()) return;
-  auto& cache = PlanCache::global();
-  const auto rowPlan = cache.get(cols);
-  const auto colPlan = cache.get(rows);
-  transformGrid2D(*rowPlan, *colPlan, x.data(), rows, cols, false);
-}
-
-void ifft2(std::vector<Complex>& x, std::size_t rows, std::size_t cols) {
-  RFIC_REQUIRE(x.size() == rows * cols, "ifft2 size mismatch");
-  if (x.empty()) return;
-  auto& cache = PlanCache::global();
-  const auto rowPlan = cache.get(cols);
-  const auto colPlan = cache.get(rows);
-  transformGrid2D(*rowPlan, *colPlan, x.data(), rows, cols, true);
 }
 
 }  // namespace rfic::fft

@@ -6,36 +6,14 @@
 // makes the matrix-implicit formulation cheap. Radix-2 handles the
 // power-of-two oversampled grids used by HB; Bluestein covers arbitrary
 // lengths (odd spectral-collocation grids in MMFT); a row-column 2-D
-// transform supports two-tone analysis.
+// transform supports two-tone analysis. The transforms themselves live in
+// fft/plan.hpp (Plan, PlanCache and the batched transform entry points);
+// this header keeps the grid-sizing helpers.
 #pragma once
 
 #include <cstddef>
-#include <vector>
-
-#include "common.hpp"
 
 namespace rfic::fft {
-
-/// In-place forward DFT: X[k] = Σ_n x[n]·exp(-2πi·kn/N). Any length.
-void fft(std::vector<Complex>& x);
-
-/// In-place inverse DFT with the 1/N normalization.
-void ifft(std::vector<Complex>& x);
-
-/// Forward DFT of real samples; returns the N/2+1 nonredundant coefficients
-/// X[0..N/2] of the length-N spectrum (X[0] real; X[N/2] real if N even).
-std::vector<Complex> rfft(const std::vector<Real>& x);
-
-/// Inverse of rfft: reconstruct N real samples from the nonredundant half
-/// spectrum (size N/2+1).
-std::vector<Real> irfft(const std::vector<Complex>& half, std::size_t n);
-
-/// 2-D DFT over a rows×cols grid stored row-major (row r, column c at index
-/// r*cols + c). Forward transform.
-void fft2(std::vector<Complex>& x, std::size_t rows, std::size_t cols);
-
-/// 2-D inverse DFT with 1/(rows·cols) normalization.
-void ifft2(std::vector<Complex>& x, std::size_t rows, std::size_t cols);
 
 /// True if n is a power of two (and nonzero).
 bool isPowerOfTwo(std::size_t n);

@@ -321,8 +321,7 @@ void SymbolicLU<T>::buildLevels() {
 // recorded flop sequence. Returns false when the pivots recorded at
 // analysis time are no longer numerically acceptable for these values.
 template <class T>
-bool SymbolicLU<T>::replay(const T* vals, std::size_t nvals) {
-  RFIC_REQUIRE(nvals == nnz_, "SymbolicLU::refactor value count mismatch");
+bool SymbolicLU<T>::replay(const T* vals) {
   w_.assign(w_.size(), T{});  // rt: allow(rt-alloc) same-size overwrite of
   // the analysis-sized slot workspace — never reallocates
   Real maxIn = 0;
@@ -373,8 +372,7 @@ bool SymbolicLU<T>::replay(const T* vals, std::size_t nvals) {
 // the serial replay for any pool size (see buildLevels). A failing step
 // skips its divisions entirely, so the guard is FE-trap safe.
 template <class T>
-bool SymbolicLU<T>::replayParallel(const T* vals, std::size_t nvals) {
-  RFIC_REQUIRE(nvals == nnz_, "SymbolicLU::refactor value count mismatch");
+bool SymbolicLU<T>::replayParallel(const T* vals) {
   w_.assign(w_.size(), T{});  // rt: allow(rt-alloc) same-size overwrite of
   // the analysis-sized slot workspace — never reallocates
   Real maxIn = 0;
@@ -448,6 +446,8 @@ template <class T>
 RFIC_REALTIME diag::SolverStatus SymbolicLU<T>::refactor(
     const std::vector<T>& values) {
   RFIC_REQUIRE(analyzed_, "SymbolicLU::refactor before factor");
+  RFIC_REQUIRE(values.size() == nnz_,
+               "SymbolicLU::refactor value count mismatch");
   // factor-repivot fault point: pretend the replayed pivots went bad so the
   // fresh-analysis fallback below runs (and callers see Repivoted).
   const bool forceRepivot =
@@ -456,10 +456,10 @@ RFIC_REALTIME diag::SolverStatus SymbolicLU<T>::refactor(
   if (!forceRepivot) {
     if (wantParallel()) {
       const perf::Timer timer;
-      ok = replayParallel(values.data(), values.size());
+      ok = replayParallel(values.data());
       perf::global().addRefactorParallel(timer.ns());
     } else {
-      ok = replay(values.data(), values.size());
+      ok = replay(values.data());
     }
   }
   if (ok) return diag::SolverStatus::Converged;
@@ -469,13 +469,6 @@ RFIC_REALTIME diag::SolverStatus SymbolicLU<T>::refactor(
   // fallback — runs only when the recorded pivots went numerically bad;
   // callers observe it through the returned status and perf counters
   return diag::SolverStatus::Repivoted;
-}
-
-template <class T>
-diag::SolverStatus SymbolicLU<T>::refactor(const CSR<T>& a) {
-  RFIC_REQUIRE(a.nnz() == nnz_ && a.rows() == n_,
-               "SymbolicLU::refactor pattern mismatch");
-  return refactor(a.values());
 }
 
 template <class T>

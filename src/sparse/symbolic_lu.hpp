@@ -89,8 +89,6 @@ class SymbolicLU {
   /// factorization (with new pivots) from the same values. The replay path
   /// is allocation-free; only the Repivoted fallback allocates.
   RFIC_REALTIME diag::SolverStatus refactor(const std::vector<T>& values);
-  /// Convenience: same-pattern matrix (only its values are read).
-  diag::SolverStatus refactor(const CSR<T>& a);
 
   /// Worker pool for the level-scheduled parallel replay (nullptr = always
   /// serial). Non-owning; the pool must outlive refactor() calls. The
@@ -130,8 +128,8 @@ class SymbolicLU {
  private:
   void analyzeFromValues(const T* vals);
   void buildLevels();
-  bool replay(const T* vals, std::size_t nvals);
-  bool replayParallel(const T* vals, std::size_t nvals);
+  bool replay(const T* vals);
+  bool replayParallel(const T* vals);
   bool wantParallel() const;
 
   Options opts_;

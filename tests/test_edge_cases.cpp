@@ -8,7 +8,7 @@
 #include "circuit/devices.hpp"
 #include "circuit/sources.hpp"
 #include "extraction/panel_kernel.hpp"
-#include "fft/fft.hpp"
+#include "fft/plan.hpp"
 #include "hb/spectrum.hpp"
 #include "numeric/eig.hpp"
 #include "numeric/lu.hpp"
@@ -55,12 +55,16 @@ TEST(Edge, EigOfDefectiveJordanBlock) {
 }
 
 TEST(Edge, FFTTrivialLengths) {
+  const fft::Plan plan(1);
   std::vector<Complex> one{{3.0, -1.0}};
-  fft::fft(one);
+  fft::transformColumns(plan, one.data(), 1, /*inverse=*/false);
+  EXPECT_EQ(one[0], Complex(3.0, -1.0));
+  fft::transformColumns(plan, one.data(), 1, /*inverse=*/true);
   EXPECT_EQ(one[0], Complex(3.0, -1.0));
   std::vector<Complex> empty;
-  fft::fft(empty);  // must not crash
+  fft::transformColumns(plan, empty.data(), 0, false);  // must not crash
   EXPECT_TRUE(empty.empty());
+  EXPECT_THROW(fft::Plan(0), InvalidArgument);
 }
 
 TEST(Edge, SparseLUOnePivotChain) {
@@ -145,30 +149,15 @@ TEST(Edge, ConditionEstimateOfNearSingularMatrix) {
   EXPECT_GT(numeric::conditionEstimate(a), 1e12);
 }
 
-TEST(Edge, ZeroLengthRealFFTRejected) {
-  // rfft of an empty signal used to fabricate a one-element spectrum; the
-  // inverse direction wrote through an empty buffer (out-of-bounds). Both
-  // are now explicit errors.
-  EXPECT_THROW(fft::rfft({}), InvalidArgument);
-  EXPECT_THROW(fft::irfft({Complex(1.0, 0.0)}, 0), InvalidArgument);
-}
-
-TEST(Edge, RealFFTRoundTripSmallestLengths) {
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-    std::vector<Real> x(n);
-    for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<Real>(i) + 0.5;
-    const auto half = fft::rfft(x);
-    ASSERT_EQ(half.size(), n / 2 + 1);
-    const auto back = fft::irfft(half, n);
-    ASSERT_EQ(back.size(), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], x[i], 1e-12);
-  }
-}
-
 TEST(Edge, FFT2SizeMismatchRejected) {
+  // Plans whose lengths do not match the grid's axes are rejected before
+  // any element is touched.
+  const fft::Plan two(2), three(3);
   std::vector<Complex> x(6);
-  EXPECT_THROW(fft::fft2(x, 2, 2), InvalidArgument);
-  EXPECT_THROW(fft::ifft2(x, 4, 2), InvalidArgument);
+  EXPECT_THROW(fft::transformGrid2D(two, two, x.data(), 2, 3, false),
+               InvalidArgument);
+  EXPECT_THROW(fft::transformGrid2D(two, three, x.data(), 2, 3, true),
+               InvalidArgument);
 }
 
 TEST(Edge, SingularDenseLUThrowsNumericalError) {

@@ -1,6 +1,6 @@
-// FFT kernels: roundtrips, reference DFT comparison, Parseval, real packs,
-// the 2-D transform used by two-tone HB, and the Plan/PlanCache layer the
-// hot loops replay.
+// FFT kernels: roundtrips, reference DFT comparison, Parseval, the 2-D
+// transform used by two-tone HB, and the Plan/PlanCache layer the hot loops
+// replay.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,6 +24,19 @@ std::vector<Complex> randomSignal(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
+// Whole-vector 1-D transform through the process plan cache.
+void transform(std::vector<Complex>& x, bool inverse = false) {
+  transformColumns(*PlanCache::global().get(x.size()), x.data(), 1, inverse);
+}
+
+// Whole-grid 2-D transform of a rows×cols row-major grid.
+void transformGrid(std::vector<Complex>& x, std::size_t rows,
+                   std::size_t cols, bool inverse = false) {
+  auto& cache = PlanCache::global();
+  transformGrid2D(*cache.get(cols), *cache.get(rows), x.data(), rows, cols,
+                  inverse);
+}
+
 std::vector<Complex> referenceDFT(const std::vector<Complex>& x) {
   const std::size_t n = x.size();
   std::vector<Complex> out(n);
@@ -44,7 +57,7 @@ TEST_P(FFTLengths, MatchesReferenceDFT) {
   const std::size_t n = GetParam();
   auto x = randomSignal(n, 10 + n);
   const auto ref = referenceDFT(x);
-  fft(x);
+  transform(x);
   for (std::size_t k = 0; k < n; ++k)
     EXPECT_NEAR(std::abs(x[k] - ref[k]), 0.0, 1e-9 * static_cast<Real>(n))
         << "bin " << k << " length " << n;
@@ -54,8 +67,8 @@ TEST_P(FFTLengths, RoundTripIdentity) {
   const std::size_t n = GetParam();
   const auto orig = randomSignal(n, 20 + n);
   auto x = orig;
-  fft(x);
-  ifft(x);
+  transform(x);
+  transform(x, /*inverse=*/true);
   for (std::size_t k = 0; k < n; ++k)
     EXPECT_NEAR(std::abs(x[k] - orig[k]), 0.0, 1e-11);
 }
@@ -65,7 +78,7 @@ TEST_P(FFTLengths, Parseval) {
   auto x = randomSignal(n, 30 + n);
   Real timeEnergy = 0;
   for (const auto& v : x) timeEnergy += std::norm(v);
-  fft(x);
+  transform(x);
   Real freqEnergy = 0;
   for (const auto& v : x) freqEnergy += std::norm(v);
   EXPECT_NEAR(freqEnergy / static_cast<Real>(n), timeEnergy,
@@ -83,7 +96,7 @@ TEST(FFT, SingleToneLandsInOneBin) {
   for (std::size_t m = 0; m < n; ++m)
     x[m] = std::exp(Complex(0, kTwoPi * 5.0 * static_cast<Real>(m) /
                                    static_cast<Real>(n)));
-  fft(x);
+  transform(x);
   for (std::size_t k = 0; k < n; ++k) {
     if (k == 5)
       EXPECT_NEAR(std::abs(x[k]), static_cast<Real>(n), 1e-9);
@@ -98,40 +111,11 @@ TEST(FFT, LinearityHolds) {
   auto b = randomSignal(n, 2);
   std::vector<Complex> sum(n);
   for (std::size_t i = 0; i < n; ++i) sum[i] = 2.0 * a[i] + 3.0 * b[i];
-  fft(a);
-  fft(b);
-  fft(sum);
+  transform(a);
+  transform(b);
+  transform(sum);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(std::abs(sum[i] - (2.0 * a[i] + 3.0 * b[i])), 0.0, 1e-10);
-}
-
-TEST(RFFT, MatchesComplexTransform) {
-  const std::size_t n = 32;
-  std::mt19937_64 rng(5);
-  std::uniform_real_distribution<Real> u(-1, 1);
-  std::vector<Real> x(n);
-  for (auto& v : x) v = u(rng);
-  const auto half = rfft(x);
-  ASSERT_EQ(half.size(), n / 2 + 1);
-  std::vector<Complex> full(x.begin(), x.end());
-  fft(full);
-  for (std::size_t k = 0; k <= n / 2; ++k)
-    EXPECT_NEAR(std::abs(half[k] - full[k]), 0.0, 1e-11);
-}
-
-TEST(RFFT, RoundTripThroughIrfft) {
-  const std::size_t n = 40;
-  std::mt19937_64 rng(6);
-  std::uniform_real_distribution<Real> u(-1, 1);
-  std::vector<Real> x(n);
-  for (auto& v : x) v = u(rng);
-  const auto back = irfft(rfft(x), n);
-  for (std::size_t k = 0; k < n; ++k) EXPECT_NEAR(back[k], x[k], 1e-11);
-}
-
-TEST(RFFT, WrongHalfSizeThrows) {
-  std::vector<Complex> half(4);
-  EXPECT_THROW(irfft(half, 10), InvalidArgument);
 }
 
 TEST(FFT2, SeparableToneInOneBin) {
@@ -144,7 +128,7 @@ TEST(FFT2, SeparableToneInOneBin) {
                                             static_cast<Real>(rows) +
                                         3.0 * static_cast<Real>(c) /
                                             static_cast<Real>(cols))));
-  fft2(x, rows, cols);
+  transformGrid(x, rows, cols);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       const Real expected = (r == 2 && c == 3)
@@ -159,8 +143,8 @@ TEST(FFT2, RoundTrip) {
   const std::size_t rows = 12, cols = 10;  // non-pow2 both dims
   auto x = randomSignal(rows * cols, 7);
   const auto orig = x;
-  fft2(x, rows, cols);
-  ifft2(x, rows, cols);
+  transformGrid(x, rows, cols);
+  transformGrid(x, rows, cols, /*inverse=*/true);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(std::abs(x[i] - orig[i]), 0.0, 1e-10);
 }
@@ -232,13 +216,13 @@ TEST(Plan, TransformColumnsMatchesPerColumnFFT) {
               batch.begin() + static_cast<std::ptrdiff_t>(c * n));
   }
   transformColumns(plan, batch.data(), cols, /*inverse=*/false);
-  for (auto& col : separate) fft(col);
+  for (auto& col : separate) transform(col);
   for (std::size_t c = 0; c < cols; ++c)
     for (std::size_t k = 0; k < n; ++k)
       EXPECT_NEAR(std::abs(batch[c * n + k] - separate[c][k]), 0.0, 1e-10);
   // And the inverse restores the batch through the same entry point.
   transformColumns(plan, batch.data(), cols, /*inverse=*/true);
-  for (auto& col : separate) ifft(col);
+  for (auto& col : separate) transform(col, /*inverse=*/true);
   for (std::size_t c = 0; c < cols; ++c)
     for (std::size_t k = 0; k < n; ++k)
       EXPECT_NEAR(std::abs(batch[c * n + k] - separate[c][k]), 0.0, 1e-10);
@@ -268,7 +252,7 @@ TEST(Plan, BatchedTransformsNestInsidePoolTasks) {
       auto col = randomSignal(n, 900 + t * cols + c);
       std::copy(col.begin(), col.end(),
                 batches[t].begin() + static_cast<std::ptrdiff_t>(c * n));
-      fft(col);  // serial reference, computed before any pool activity
+      transform(col);  // serial reference, computed before any pool activity
       std::copy(col.begin(), col.end(),
                 expected[t].begin() + static_cast<std::ptrdiff_t>(c * n));
     }

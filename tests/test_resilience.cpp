@@ -414,12 +414,6 @@ TEST(TransientResilience, CheckpointResumeIsBitIdentical) {
   to.dt = 2e-6;
   to.adaptive = true;
   to.method = analysis::IntegrationMethod::gear2;
-  // The rebuild (non-pattern-cached) pipeline factors each step from
-  // scratch, so the resumed run replays exactly the arithmetic the
-  // uninterrupted run performs. (The pattern cache picks its pivot order at
-  // the first factorization after the start point, which is a different
-  // state for the resumed run.)
-  to.patternCache = false;
 
   RCSine a;
   const auto full = analysis::runTransient(*a.sys, RVec(a.sys->dim(), 0.0), to);
@@ -512,21 +506,6 @@ sparse::FunctionOperator<Real> hilbertOperator(std::size_t n) {
       });
 }
 
-TEST(KrylovStagnation, BicgstabWindowTripsOnHilbert) {
-  const std::size_t n = 20;
-  const auto hilb = hilbertOperator(n);
-  numeric::RVec bvec(n, 1.0);
-  numeric::RVec x(n, 0.0);
-  sparse::IterativeOptions opts;
-  opts.tolerance = 1e-14;
-  opts.maxIterations = 5000;
-  opts.stagnationWindow = 25;
-  const auto res = sparse::bicgstab<Real>(hilb, bvec, x, nullptr, opts);
-  EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.status, diag::SolverStatus::Stagnated) << res.statusName();
-  EXPECT_LT(res.iterations, opts.maxIterations);
-}
-
 TEST(KrylovStagnation, CgWindowTripsOnHilbert) {
   const std::size_t n = 20;
   const auto hilb = hilbertOperator(n);
@@ -548,10 +527,8 @@ TEST(KrylovStagnation, StallInjectionForcesStagnatedStatus) {
   sparse::FunctionOperator<Real> ident(
       n, [](const numeric::RVec& x, numeric::RVec& y) { y = x; });
   numeric::RVec bvec(n, 1.0), x(n, 0.0);
-  diag::FaultInjector::global().arm(diag::FaultPoint::KrylovStall, 3);
+  diag::FaultInjector::global().arm(diag::FaultPoint::KrylovStall, 2);
   EXPECT_EQ(sparse::gmres<Real>(ident, bvec, x, nullptr, {}).status,
-            diag::SolverStatus::Stagnated);
-  EXPECT_EQ(sparse::bicgstab<Real>(ident, bvec, x, nullptr, {}).status,
             diag::SolverStatus::Stagnated);
   EXPECT_EQ(sparse::conjugateGradient(ident, bvec, x, {}).status,
             diag::SolverStatus::Stagnated);
@@ -570,8 +547,6 @@ TEST(KrylovBudget, TrippedBudgetStopsSolve) {
   sparse::IterativeOptions opts;
   opts.budget = &b;
   EXPECT_EQ(sparse::gmres<Real>(ident, bvec, x, nullptr, opts).status,
-            diag::SolverStatus::BudgetExceeded);
-  EXPECT_EQ(sparse::bicgstab<Real>(ident, bvec, x, nullptr, opts).status,
             diag::SolverStatus::BudgetExceeded);
   EXPECT_EQ(sparse::conjugateGradient(ident, bvec, x, opts).status,
             diag::SolverStatus::BudgetExceeded);

@@ -12,6 +12,12 @@ artifacts). Numeric keys are diffed; wall-clock keys (ending in `_s` or
 `_ns`) get a ratio column and are flagged when they regress by more than
 the threshold (default 25%).
 
+Benches record the machine they ran on as `nproc` (hardware threads) and
+`lanes` (thread-pool lanes). When both files carry that fingerprint and it
+differs, the two fingerprints are printed and wall-clock keys show their
+ratio without REGRESSION/improved marks: a timing from another machine
+says nothing about the code. Exact counts are still diffed.
+
 The report is INFORMATIONAL: the exit code is always 0 unless the inputs
 are unreadable. Bench machines differ — CI uses this as a trend signal
 next to the uploaded artifacts, not as a gate. Refresh a baseline by
@@ -35,6 +41,17 @@ def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+# Metadata keys: describe the run, not the code under test.
+META_KEYS = {"bench", "quick", "nproc", "lanes"}
+FINGERPRINT_KEYS = ("nproc", "lanes")
+
+
+def fingerprint(data: dict) -> str | None:
+    if not all(k in data for k in FINGERPRINT_KEYS):
+        return None
+    return " ".join(f"{k}={data[k]}" for k in FINGERPRINT_KEYS)
+
+
 def compare_file(base_path: Path, fresh_path: Path, threshold: float) -> int:
     base = load(base_path)
     fresh = load(fresh_path)
@@ -43,9 +60,17 @@ def compare_file(base_path: Path, fresh_path: Path, threshold: float) -> int:
     if base.get("quick") != fresh.get("quick"):
         print(f"  note: quick-mode mismatch (baseline quick={base.get('quick')}, "
               f"fresh quick={fresh.get('quick')}) — ratios are not comparable")
+    base_fp, fresh_fp = fingerprint(base), fingerprint(fresh)
+    same_machine = True
+    if base_fp is None:
+        print("  note: baseline has no machine fingerprint (nproc, lanes)")
+    elif fresh_fp is not None and base_fp != fresh_fp:
+        same_machine = False
+        print(f"  machine mismatch: baseline {base_fp}, fresh {fresh_fp} — "
+              "timed keys show ratios only, not ranked")
     rows = []
     for key, bval in base.items():
-        if key in ("bench", "quick"):
+        if key in META_KEYS:
             continue
         fval = fresh.get(key)
         if fval is None:
@@ -59,7 +84,9 @@ def compare_file(base_path: Path, fresh_path: Path, threshold: float) -> int:
         if timed and bval > 0:
             ratio = fval / bval
             mark = f"{ratio:6.2f}x"
-            if ratio > 1.0 + threshold / 100.0:
+            if not same_machine:
+                pass  # another machine's timing cannot rank this code
+            elif ratio > 1.0 + threshold / 100.0:
                 mark += f"  REGRESSION (> {threshold:g}%)"
                 regressions += 1
             elif ratio < 1.0 - threshold / 100.0:
@@ -68,7 +95,7 @@ def compare_file(base_path: Path, fresh_path: Path, threshold: float) -> int:
         else:
             mark = "" if bval == fval else "changed"
             rows.append((key, bval, fval, mark))
-    new_keys = sorted(set(fresh) - set(base) - {"bench", "quick"})
+    new_keys = sorted(set(fresh) - set(base) - META_KEYS)
     for key in new_keys:
         rows.append((key, "(new)", fresh[key], ""))
     width = max((len(r[0]) for r in rows), default=10)
