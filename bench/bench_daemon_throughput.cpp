@@ -139,7 +139,6 @@ RunStats runWorkload(std::size_t workers,
 int main() {
   header("Daemon throughput — mixed jobs through the engine Scheduler");
   JsonReporter rep("daemon_throughput");
-  perf::global().reset();
 
   const std::size_t jobs = quickMode() ? 24 : 102;
   // At least 2 workers even on one core: the point of the wide run is the

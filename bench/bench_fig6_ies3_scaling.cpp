@@ -39,7 +39,6 @@ Real fitExponent(const std::vector<Real>& n, const std::vector<Real>& y) {
 int main() {
   header("Fig. 6 — IES3 electromagnetic-solver scaling");
   JsonReporter rep("fig6_ies3_scaling");
-  perf::global().reset();
   std::printf("%-8s %-10s %-10s %-9s %-10s %-9s %-9s %-9s %-7s\n", "panels",
               "dense MB", "ies3 MB", "compr %", "dense s", "build s",
               "solve s", "total s", "gmres");

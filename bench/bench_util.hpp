@@ -76,34 +76,12 @@ class JsonReporter {
   void text(const std::string& key, const std::string& value) {
     add(key, "\"" + escaped(value) + "\"");
   }
-  /// Expands a perf snapshot into <prefix>.evals, <prefix>.factorizations,
-  /// <prefix>.refactorizations, <prefix>.solves and the per-stage times.
+  /// Expands a perf snapshot into <prefix>.<snake_case counter name> for
+  /// every counter (evals, fft_count, mem_peak_bytes, ...).
   void counters(const std::string& prefix, const perf::Snapshot& s) {
-    count(prefix + ".evals", s.evals);
-    count(prefix + ".eval_batched", s.evalBatched);
-    count(prefix + ".factorizations", s.factorizations);
-    count(prefix + ".refactorizations", s.refactorizations);
-    count(prefix + ".solves", s.solves);
-    count(prefix + ".retries", s.retries);
-    count(prefix + ".fallbacks", s.fallbacks);
-    count(prefix + ".fft_count", s.fftCount);
-    count(prefix + ".plan_cache_hits", s.planCacheHits);
-    count(prefix + ".plan_cache_misses", s.planCacheMisses);
-    count(prefix + ".matvecs", s.matvecs);
-    count(prefix + ".extract_builds", s.extractBuilds);
-    count(prefix + ".eval_ns", static_cast<std::size_t>(s.evalNs));
-    count(prefix + ".eval_batch_ns", static_cast<std::size_t>(s.evalBatchNs));
-    count(prefix + ".factor_ns", static_cast<std::size_t>(s.factorNs));
-    count(prefix + ".refactor_ns", static_cast<std::size_t>(s.refactorNs));
-    count(prefix + ".solve_ns", static_cast<std::size_t>(s.solveNs));
-    count(prefix + ".fft_ns", static_cast<std::size_t>(s.fftNs));
-    count(prefix + ".matvec_ns", static_cast<std::size_t>(s.matvecNs));
-    count(prefix + ".extract_build_ns",
-          static_cast<std::size_t>(s.extractBuildNs));
-    count(prefix + ".extract_compress_ns",
-          static_cast<std::size_t>(s.extractCompressNs));
-    count(prefix + ".mem_peak_bytes",
-          static_cast<std::size_t>(s.memPeakBytes));
+    for (const perf::Field& f : perf::kFields)
+      count(prefix + "." + snakeCase(f.name),
+            static_cast<std::size_t>(s.*f.member));
   }
 
   void write() {
@@ -132,6 +110,19 @@ class JsonReporter {
   }
 
  private:
+  /// camelCase → snake_case (fftCount → fft_count).
+  static std::string snakeCase(const std::string& camel) {
+    std::string out;
+    for (const char c : camel) {
+      if (c >= 'A' && c <= 'Z') {
+        out += '_';
+        out += static_cast<char>(c - 'A' + 'a');
+      } else {
+        out += c;
+      }
+    }
+    return out;
+  }
   static std::string escaped(const std::string& s) {
     std::string out;
     out.reserve(s.size());

@@ -39,7 +39,7 @@ struct DCResult {
   diag::SolverStatus status = diag::SolverStatus::NotRun;
   std::size_t iterations = 0;
   std::string strategy;  ///< "newton", "gmin", or "source"
-  perf::Snapshot perf;   ///< pipeline counters for the whole solve
+  perf::Snapshot perf;   ///< this run's counters (all strategies)
 };
 
 /// Solve f(x) = b(0). Tries plain Newton, then gmin stepping, then source

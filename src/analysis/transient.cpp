@@ -188,8 +188,12 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
   return true;
 }
 
-TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
-                             const TransientOptions& opts) {
+namespace {
+
+// The stepping loops behind runTransient / runNoisyTransient (which add the
+// counters).
+TransientResult transientSteps(const MnaSystem& sys, const RVec& x0,
+                               const TransientOptions& opts) {
   RFIC_REQUIRE(opts.tstop > opts.tstart, "runTransient: tstop must exceed tstart");
   RFIC_REQUIRE(opts.dt > 0, "runTransient: dt must be positive");
   TransientResult res;
@@ -258,7 +262,7 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
 
   const auto noteRetry = [&] {
     ++res.retries;
-    ws->noteRetry();
+    perf::global().addRetry();
   };
   const auto saveCk = [&] {
     if (opts.checkpointPath.empty()) return;
@@ -291,7 +295,6 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
     if (diag::budgetExceeded(opts.budget)) {
       saveCk();
       res.status = diag::SolverStatus::BudgetExceeded;
-      res.perf = ws->counters();
       return res;  // res.ok stays false; trajectory so far is valid
     }
     if (!opts.checkpointPath.empty() && opts.checkpointInterval > 0 &&
@@ -325,7 +328,6 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
       h *= 0.5;
       if (h < dtMin) {
         res.status = diag::SolverStatus::StepLimit;
-        res.perf = ws->counters();
         return res;  // res.ok stays false
       }
       noteRetry();
@@ -370,15 +372,13 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
     res.time.assign(1, t);
     res.x.assign(1, x);
   }
-  res.perf = ws->counters();
   res.ok = true;
   res.status = diag::SolverStatus::Converged;
   return res;
 }
 
-TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
-                                  const TransientOptions& opts,
-                                  std::uint64_t seed) {
+TransientResult noisySteps(const MnaSystem& sys, const RVec& x0,
+                           const TransientOptions& opts, std::uint64_t seed) {
   RFIC_REQUIRE(opts.dt > 0, "runNoisyTransient: dt must be positive");
   TransientResult res;
   std::mt19937_64 rng(seed);
@@ -396,7 +396,6 @@ TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
   while (t < opts.tstop - 1e-12 * opts.tstop) {
     if (diag::budgetExceeded(opts.budget)) {
       res.status = diag::SolverStatus::BudgetExceeded;
-      res.perf = ws.counters();
       return res;
     }
     // Sample device noise at the current operating point (cyclostationary
@@ -442,7 +441,6 @@ TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
     }
     if (!converged) {
       res.status = diag::SolverStatus::MaxIterations;
-      res.perf = ws.counters();
       return res;
     }
     x = x1;
@@ -457,10 +455,22 @@ TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
     res.time.assign(1, t);
     res.x.assign(1, x);
   }
-  res.perf = ws.counters();
   res.ok = true;
   res.status = diag::SolverStatus::Converged;
   return res;
+}
+
+}  // namespace
+
+TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
+                             const TransientOptions& opts) {
+  return perf::runScoped([&] { return transientSteps(sys, x0, opts); });
+}
+
+TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
+                                  const TransientOptions& opts,
+                                  std::uint64_t seed) {
+  return perf::runScoped([&] { return noisySteps(sys, x0, opts, seed); });
 }
 
 }  // namespace rfic::analysis

@@ -75,7 +75,7 @@ struct TransientResult {
   std::size_t steps = 0;
   std::size_t newtonIterations = 0;
   std::size_t retries = 0;  ///< failed/rejected step attempts (dt cuts, LTE)
-  perf::Snapshot perf;  ///< counters of the workspace the run stepped on
+  perf::Snapshot perf;  ///< this run's counters
 };
 
 /// Integrate the circuit DAE from x0. If opts.storeWaveforms is false only

@@ -138,10 +138,8 @@ void MnaWorkspace::evalBivariate(const RVec& x, Real t1, Real t2,
     }
     const auto ns = timer.ns();
     if (useBatch) {
-      counters_.addEvalBatch(1, ns);
       perf::global().addEvalBatch(1, ns);
     } else {
-      counters_.addEval(ns);
       perf::global().addEval(ns);
     }
     return;
@@ -185,10 +183,8 @@ void MnaWorkspace::evalBivariate(const RVec& x, Real t1, Real t2,
   }
   const auto ns = timer.ns();
   if (useBatch) {
-    counters_.addEvalBatch(1, ns);
     perf::global().addEvalBatch(1, ns);
   } else {
-    counters_.addEval(ns);
     perf::global().addEval(ns);
   }
 }
@@ -378,10 +374,8 @@ void MnaWorkspace::evalSamples(const numeric::RMat& xs, const Real* t1,
 
   const auto ns = timer.ns();
   if (useBatch) {
-    counters_.addEvalBatch(S, ns);
     perf::global().addEvalBatch(S, ns);
   } else {
-    counters_.addEvals(S, ns);
     perf::global().addEvals(S, ns);
   }
 }
@@ -414,18 +408,15 @@ diag::SolverStatus MnaWorkspace::factorJacobian(Real cCoeff, Real gCoeff,
     lu_.factor(j, o);
     luPatternCurrent_ = true;
     const auto ns = timer.ns();
-    counters_.addFactorization(ns);
     perf::global().addFactorization(ns);
     return diag::SolverStatus::Converged;
   }
   const diag::SolverStatus st = lu_.refactor(jVals_);
   const auto ns = timer.ns();
   if (st == diag::SolverStatus::Converged) {
-    counters_.addRefactorization(ns);
     perf::global().addRefactorization(ns);
   } else {
     // Repivoted: a full factorization ran under the hood.
-    counters_.addFactorization(ns);
     perf::global().addFactorization(ns);
   }
   return st;
@@ -435,7 +426,6 @@ RVec MnaWorkspace::solve(const RVec& rhs) {
   const perf::Timer timer;
   RVec x = lu_.solve(rhs);
   const auto ns = timer.ns();
-  counters_.addSolve(ns);
   perf::global().addSolve(ns);
   return x;
 }
@@ -444,7 +434,6 @@ RFIC_REALTIME void MnaWorkspace::solve(const RVec& rhs, RVec& x) {
   const perf::Timer timer;
   lu_.solve(rhs, x, solveY_, solveZ_);
   const auto ns = timer.ns();
-  counters_.addSolve(ns);
   perf::global().addSolve(ns);
 }
 

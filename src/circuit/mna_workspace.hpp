@@ -17,9 +17,10 @@
 //    numeric refactorizations until pivot growth forces a repivot
 //    (surfaced as diag::SolverStatus::Repivoted).
 //
-// The workspace also owns a perf::Counters instance and mirrors every
-// event into perf::global(), so analyses and `rficsim --stats` can report
-// evals / factorizations / refactorizations / solves and their wall time.
+// Every evaluation, factorization and solve is counted once on
+// perf::global(), so the enclosing CounterScope (an analysis run, an engine
+// job) and `rficsim --stats` report evals / factorizations /
+// refactorizations / solves and their wall time.
 #pragma once
 
 #include <vector>
@@ -130,21 +131,6 @@ class MnaWorkspace {
   /// it.
   RFIC_REALTIME void solve(const RVec& rhs, RVec& x);
 
-  /// This workspace's pipeline counters (also mirrored into perf::global()).
-  perf::Snapshot counters() const { return counters_.snapshot(); }
-
-  /// Resilience-layer bookkeeping: engines count retry attempts (dt cuts,
-  /// Newton re-runs) and strategy escalations (continuation ladder rungs)
-  /// here so they show up in result snapshots and `rficsim --stats`.
-  void noteRetry() {
-    counters_.addRetry();
-    perf::global().addRetry();
-  }
-  void noteFallback() {
-    counters_.addFallback();
-    perf::global().addFallback();
-  }
-
  private:
   void ensurePattern(const RVec& x, Real t1, Real t2, const RVec* xPrev);
   void growPattern();
@@ -188,7 +174,6 @@ class MnaWorkspace {
   bool luPatternCurrent_ = false;        ///< lu_ analyzed this pattern
   RVec solveY_, solveZ_;                 ///< solve(rhs, x) scratch, grow-once
 
-  perf::Counters counters_;
 };
 
 }  // namespace rfic::circuit

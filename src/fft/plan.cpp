@@ -244,8 +244,7 @@ void PlanCache::clear() {
 }
 
 RFIC_REALTIME void transformColumns(const Plan& plan, Complex* data,
-                                    std::size_t count, bool inverse,
-                                    perf::Counters* extra) {
+                                    std::size_t count, bool inverse) {
   RFIC_REQUIRE(count == 0 || data != nullptr,
                "fft::transformColumns: null data with nonzero count");
   if (count == 0) return;
@@ -266,13 +265,11 @@ RFIC_REALTIME void transformColumns(const Plan& plan, Complex* data,
       },
       grain);
   perf::global().addFfts(count, t.ns());
-  if (extra) extra->addFfts(count, t.ns());
 }
 
 RFIC_REALTIME void transformGrid2D(const Plan& rowPlan, const Plan& colPlan,
                                    Complex* x, std::size_t rows,
-                                   std::size_t cols, bool inverse,
-                                   perf::Counters* extra) {
+                                   std::size_t cols, bool inverse) {
   RFIC_REQUIRE(x != nullptr && rowPlan.size() == cols && colPlan.size() == rows,
                "fft::transformGrid2D: plan lengths must match the grid");
   std::uint64_t nTransforms = 0;
@@ -313,18 +310,14 @@ RFIC_REALTIME void transformGrid2D(const Plan& rowPlan, const Plan& colPlan,
         grain);
     nTransforms += cols;
   }
-  if (nTransforms > 0) {
-    perf::global().addFfts(nTransforms, t.ns());
-    if (extra) extra->addFfts(nTransforms, t.ns());
-  }
+  if (nTransforms > 0) perf::global().addFfts(nTransforms, t.ns());
 }
 
 RFIC_REALTIME void transformGridBatch(const Plan& rowPlan, const Plan& colPlan,
                                       Complex* grids, std::size_t count,
                                       std::size_t rows, std::size_t cols,
                                       const std::size_t* liveCols,
-                                      std::size_t nLive, bool inverse,
-                                      perf::Counters* extra) {
+                                      std::size_t nLive, bool inverse) {
   RFIC_REQUIRE(rowPlan.size() == cols && colPlan.size() == rows,
                "fft::transformGridBatch: plan lengths must match the grid");
   RFIC_REQUIRE(count == 0 || grids != nullptr,
@@ -373,10 +366,7 @@ RFIC_REALTIME void transformGridBatch(const Plan& rowPlan, const Plan& colPlan,
       // smaller (single-tone) grids so a chunk covers ~1024 cells.
       cells >= 1024 ? 1 : std::size_t{1024} / cells);
   const std::uint64_t perGrid = (doRows ? rows : 0) + (doCols ? nLive : 0);
-  if (perGrid > 0) {
-    perf::global().addFfts(count * perGrid, t.ns());
-    if (extra) extra->addFfts(count * perGrid, t.ns());
-  }
+  if (perGrid > 0) perf::global().addFfts(count * perGrid, t.ns());
 }
 
 }  // namespace rfic::fft

@@ -151,8 +151,7 @@ void HarmonicBalance::spectrumToTime(const CMat& coeffs, RMat& samples) const {
       },
       grain);
   fft::transformGridBatch(*rowPlan_, *colPlan_, work_.grid.data(), pairs, m1_,
-                          m2_, liveCols_.data(), liveCols_.size(), true,
-                          &fftCounters_);
+                          m2_, liveCols_.data(), liveCols_.size(), true);
   pool.parallelFor(
       pairs,
       [&](std::size_t p) {
@@ -190,8 +189,7 @@ void HarmonicBalance::timeToSpectrum(const RMat& samples, CMat& coeffs) const {
       },
       grain);
   fft::transformGridBatch(*rowPlan_, *colPlan_, work_.grid.data(), pairs, m1_,
-                          m2_, liveCols_.data(), liveCols_.size(), false,
-                          &fftCounters_);
+                          m2_, liveCols_.data(), liveCols_.size(), false);
   // Separate: X_u(k) = (Z(k) + conj Z(−k))/2, X_v(k) = (Z(k) − conj Z(−k))/2i.
   pool.parallelFor(
       pairs,
@@ -238,25 +236,25 @@ void HarmonicBalance::unpackReal(const RVec& v, CMat& coeffs) const {
 
 HBSolution HarmonicBalance::solve(const RVec& dcOp) const {
   RFIC_REQUIRE(dcOp.size() == n_, "HB::solve: DC operating point size mismatch");
+  return perf::runScoped([&] { return solveLadder(dcOp); });
+}
 
+HBSolution HarmonicBalance::solveLadder(const RVec& dcOp) const {
   // Resilience ladder. Rung 1 runs the caller's options as-is. Rung 2
   // re-attempts with a (deeper) source-amplitude ramp — the classic cure
   // for Newton divergence at full drive. Rung 3 escalates the linear
   // solver: exact dense Jacobian for small systems (the strongest
   // "preconditioner" there is), tightened longer-restart GMRES for large
-  // ones. A tripped budget stops the ladder immediately; counters and
-  // iteration totals accumulate across rungs.
+  // ones. A tripped budget stops the ladder immediately; iteration totals
+  // accumulate across rungs (the counters do through solve()'s scope).
   const auto fold = [](HBSolution& total, HBSolution&& next,
                        const char* strategy) {
     const std::size_t newton = total.newtonIterations + next.newtonIterations;
     const std::size_t gm = total.gmresIterations + next.gmresIterations;
-    perf::Snapshot perf = total.perf;
-    perf += next.perf;
     const std::size_t retries = total.retries + 1;
     total = std::move(next);
     total.newtonIterations = newton;
     total.gmresIterations = gm;
-    total.perf = perf;
     total.retries = retries;
     total.strategy = strategy;
   };
@@ -276,8 +274,6 @@ HBSolution HarmonicBalance::solve(const RVec& dcOp) const {
       4, 4 * std::max<std::size_t>(1, opts_.continuationSteps));
   escalate();
   fold(sol, solveAttempt(dcOp, rampOpts), "source-ramp");
-  sol.perf.retries += 1;
-  sol.perf.fallbacks += 1;
   if (sol.converged || sol.status == diag::SolverStatus::BudgetExceeded ||
       opts_.maxRetries < 2)
     return sol;
@@ -297,8 +293,6 @@ HBSolution HarmonicBalance::solve(const RVec& dcOp) const {
   }
   escalate();
   fold(sol, solveAttempt(dcOp, escOpts), strategy);
-  sol.perf.retries += 1;
-  sol.perf.fallbacks += 1;
   return sol;
 }
 
@@ -318,10 +312,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
   sol.realUnknowns = n_ * nc_;
   sol.f1_ = tones_[0].freq;
   sol.f2_ = dims() == 2 ? tones_[1].freq : 0.0;
-
-  // Spectral counters restart per attempt so the ladder's fold() can
-  // accumulate per-rung snapshots without double counting.
-  fftCounters_.reset();
 
   // Initial spectrum: DC slots carry the operating point.
   CMat coeffs(n_, indices_.size());
@@ -459,15 +449,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
   // update() is a parallel numeric refactorization of the harmonic blocks.
   HBBlockPreconditioner prec(*this);
 
-  // Final counter merge: pipeline counters from the MNA workspace, block
-  // factorization/solve counters from the preconditioner, and the
-  // spectral-transform counters of this attempt.
-  const auto finishPerf = [&](HBSolution& s) {
-    s.perf = ws.counters();
-    s.perf += prec.counters();
-    s.perf += fftCounters_.snapshot();
-  };
-
   sparse::IterativeOptions gmresOpts = opts.gmres;
   gmresOpts.budget = opts.budget;
 
@@ -481,7 +462,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
       if (diag::budgetExceeded(opts.budget)) {
         sol.status = diag::SolverStatus::BudgetExceeded;
         sol.coeffs = coeffs;
-        finishPerf(sol);
         return sol;
       }
       residual(coeffs, lambda, r, &gS, &cS, &gAvg, &cAvg);
@@ -493,7 +473,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
       if (!diag::isFinite(rnorm)) {
         sol.status = diag::SolverStatus::Diverged;
         sol.coeffs = coeffs;
-        finishPerf(sol);
         return sol;
       }
       if (rnorm < opts.tolerance * scale) {
@@ -528,7 +507,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
           if (stat.status == diag::SolverStatus::BudgetExceeded) {
             sol.status = diag::SolverStatus::BudgetExceeded;
             sol.coeffs = coeffs;
-            finishPerf(sol);
             return sol;
           }
           if (!stat.converged && stat.residualNorm > 0.5 * rnorm) {
@@ -542,7 +520,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
         // failure to the ladder in solve() instead of unwinding further.
         sol.status = diag::SolverStatus::Breakdown;
         sol.coeffs = coeffs;
-        finishPerf(sol);
         return sol;
       }
 
@@ -564,7 +541,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
     if (!stageConverged && stage == ramp) {
       sol.status = diag::SolverStatus::MaxIterations;
       sol.coeffs = coeffs;
-      finishPerf(sol);
       return sol;  // converged flag stays false
     }
   }
@@ -572,7 +548,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
   sol.converged = true;
   sol.status = diag::SolverStatus::Converged;
   sol.coeffs = coeffs;
-  finishPerf(sol);
   return sol;
 }
 

@@ -78,7 +78,7 @@ struct HBSolution {
   /// "direct", or "gmres-tight".
   std::string strategy;
   std::size_t retries = 0;          ///< ladder rungs consumed after the base
-  perf::Snapshot perf;              ///< pipeline counters for the solve
+  perf::Snapshot perf;              ///< this run's counters (all rungs)
 
   std::vector<std::array<int, 2>> indices;  ///< retained (k1, k2), canonical
   std::vector<Real> freqs;                  ///< k1·f1 + k2·f2 per index [Hz]
@@ -105,7 +105,8 @@ class HarmonicBalance {
   /// Runs the resilience ladder: base options, then a deeper source ramp,
   /// then linear-solver escalation (see HBOptions::maxRetries). The rung
   /// that produced the returned solution is recorded in
-  /// HBSolution::strategy; counters accumulate across rungs.
+  /// HBSolution::strategy. HBSolution::perf counts this call's work across
+  /// every rung, each event once.
   HBSolution solve(const RVec& dcOperatingPoint) const;
 
   /// Number of real unknowns of the Newton system (for the cost benches).
@@ -138,6 +139,8 @@ class HarmonicBalance {
   friend class HBOperator;
   friend class HBBlockPreconditioner;
 
+  /// The resilience ladder behind solve() (which adds the counters).
+  HBSolution solveLadder(const RVec& dcOperatingPoint) const;
   /// One Newton solve with explicit options — the ladder rungs of solve().
   HBSolution solveAttempt(const RVec& dcOperatingPoint,
                           const HBOptions& opts) const;
@@ -233,9 +236,6 @@ class HarmonicBalance {
   /// its whole duration, so overlapping solves on one engine instance fail
   /// loudly instead of corrupting the shared workspace.
   mutable diag::ExclusiveContext workCtx_;
-  /// Spectral-transform counters for the current solve; merged into
-  /// HBSolution::perf so a result reports the FFT cost of producing it.
-  mutable perf::Counters fftCounters_;
 };
 
 }  // namespace rfic::hb

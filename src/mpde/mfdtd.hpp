@@ -45,7 +45,7 @@ struct MFDTDResult {
   std::size_t newtonIterations = 0;
   std::size_t retries = 0;      ///< tightened-tolerance re-attempts
   std::size_t jacobianNnz = 0;  ///< assembled sparse Jacobian size
-  perf::Snapshot perf;          ///< pipeline counters for the solve
+  perf::Snapshot perf;          ///< this run's counters
 };
 
 MFDTDResult runMFDTD(const MnaSystem& sys, Real slowFreq, Real fastFreq,

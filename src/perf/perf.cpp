@@ -1,5 +1,6 @@
 #include "perf/perf.hpp"
 
+#include <charconv>
 #include <cstdio>
 
 namespace rfic::perf {
@@ -39,50 +40,26 @@ Counters* CounterScope::exchange(Counters* c) {
 }
 
 std::string format(const Snapshot& s) {
-  char buf[2048];
-  const auto ms = [](std::uint64_t ns) {
-    return static_cast<double>(ns) * 1e-6;
-  };
-  std::snprintf(buf, sizeof(buf),
-                "evals            %10llu  (%10.3f ms)\n"
-                "  batched        %10llu  (%10.3f ms)\n"
-                "ordering                     (%10.3f ms)\n"
-                "factorizations   %10llu  (%10.3f ms)\n"
-                "  fill nnz       %10llu\n"
-                "refactorizations %10llu  (%10.3f ms)\n"
-                "  parallel                   (%10.3f ms)\n"
-                "  levels         %10llu\n"
-                "solves           %10llu  (%10.3f ms)\n"
-                "ffts             %10llu  (%10.3f ms)\n"
-                "plan cache       %10llu hits / %llu misses\n"
-                "matvecs          %10llu  (%10.3f ms)\n"
-                "extract builds   %10llu  (%10.3f ms, %10.3f ms compress)\n"
-                "engine ctx cache %10llu hits / %llu misses\n"
-                "mem peak bytes   %10llu\n"
-                "retries          %10llu\n"
-                "fallbacks        %10llu\n",
-                static_cast<unsigned long long>(s.evals), ms(s.evalNs),
-                static_cast<unsigned long long>(s.evalBatched),
-                ms(s.evalBatchNs), ms(s.orderingNs),
-                static_cast<unsigned long long>(s.factorizations),
-                ms(s.factorNs),
-                static_cast<unsigned long long>(s.factorFillNnz),
-                static_cast<unsigned long long>(s.refactorizations),
-                ms(s.refactorNs), ms(s.refactorParallelNs),
-                static_cast<unsigned long long>(s.refactorLevels),
-                static_cast<unsigned long long>(s.solves), ms(s.solveNs),
-                static_cast<unsigned long long>(s.fftCount), ms(s.fftNs),
-                static_cast<unsigned long long>(s.planCacheHits),
-                static_cast<unsigned long long>(s.planCacheMisses),
-                static_cast<unsigned long long>(s.matvecs), ms(s.matvecNs),
-                static_cast<unsigned long long>(s.extractBuilds),
-                ms(s.extractBuildNs), ms(s.extractCompressNs),
-                static_cast<unsigned long long>(s.ctxHits),
-                static_cast<unsigned long long>(s.ctxMisses),
-                static_cast<unsigned long long>(s.memPeakBytes),
-                static_cast<unsigned long long>(s.retries),
-                static_cast<unsigned long long>(s.fallbacks));
-  return buf;
+  std::string out;
+  char line[160];
+  for (const Field& f : kFields) {
+    std::snprintf(line, sizeof line, "%-19s %14llu  %s\n", f.name,
+                  static_cast<unsigned long long>(s.*f.member), f.doc);
+    out += line;
+  }
+  return out;
+}
+
+void appendJsonFields(std::string& out, const Snapshot& s) {
+  char value[24];
+  for (const Field& f : kFields) {
+    const auto end =
+        std::to_chars(value, value + sizeof value, s.*f.member).ptr;
+    out += ",\"";
+    out += f.name;
+    out += "\":";
+    out.append(value, end);
+  }
 }
 
 }  // namespace rfic::perf

@@ -5,7 +5,8 @@ Starts rficd on a temporary unix socket, then over real connections:
 submits the example netlists (one with --wait streaming, checking the
 streamed bytes against a direct rficsim-equivalent run), exercises
 status / cancel / result / stats, checks that a repeat-topology job
-reports a context-cache hit, and finally shuts the daemon down cleanly.
+reports a context-cache hit and that `stats` and `finished` export the same
+perf counters, and finally shuts the daemon down cleanly.
 
 Usage: rficd_smoke.py <rficd> <examples_dir>
 """
@@ -17,6 +18,18 @@ import subprocess
 import sys
 import tempfile
 import time
+
+
+# Non-counter fields of the stats reply and the finished event; every other
+# field of either is a perf counter.
+STATS_FIELDS = {"event", "queued", "running", "queueDepth", "highWater",
+                "degraded", "maxQueueAge", "submitted", "admitted",
+                "finished", "shed", "rejectedFull", "rejectedInvalid",
+                "promoted", "text"}
+FINISHED_FIELDS = {"event", "job", "exit", "cancelled", "error", "peakBytes"}
+# Counters that jobbench/loadgen.py and tests/rficd_chaos.py read by name.
+READ_BY_CLIENTS = {"ctxHits", "ctxMisses", "factorizations",
+                   "refactorizations", "planCacheHits", "memPeakBytes"}
 
 
 class Client:
@@ -196,14 +209,26 @@ def main():
         assert msg.get("event") == "error", msg
         print("ok   rejected/error paths answer instead of dropping")
 
-        # 6. stats works; then submit a multi-analysis netlist to prove the
-        # daemon survives everything above and still simulates correctly.
+        # 6. stats works and exports the same perf counters, under the same
+        # keys, as every finished event (and its text renders each one);
+        # then submit a multi-analysis netlist to prove the daemon survives
+        # everything above and still simulates correctly.
         cli.send({"cmd": "stats"})
         while True:
             msg = cli.recv()
             if msg.get("event") == "stats":
                 assert msg.get("text"), msg
                 break
+        stats_counters = set(msg) - STATS_FIELDS
+        fin_counters = set(fin) - FINISHED_FIELDS
+        assert stats_counters == fin_counters, \
+            (stats_counters ^ fin_counters)
+        assert READ_BY_CLIENTS <= fin_counters, READ_BY_CLIENTS - fin_counters
+        assert "peakBytes" in fin, fin
+        text_names = {line.split()[0] for line in msg["text"].splitlines()}
+        assert text_names == stats_counters, text_names ^ stats_counters
+        print(f"ok   stats and finished carry the same "
+              f"{len(stats_counters)} counters")
         job4 = cli.submit(lpf, label="lpf")
         fin4, out4, _, _ = cli.wait_finished(job4)
         assert fin4["exit"] == 0 and ".tran" in out4, fin4

@@ -396,18 +396,29 @@ TEST(DeviceBatch, CountersTrackBatchedSubset) {
   Menagerie m;
   const RVec x = m.state(0.1);
 
+  // Each phase runs under its own scope, so its snapshot holds exactly
+  // that phase's evaluations.
+  const auto counted = [](const auto& phase) {
+    perf::Counters counters;
+    const perf::CounterScope scope(counters);
+    phase();
+    return counters.snapshot();
+  };
+
   MnaWorkspace bat(*m.sys);
   bat.setBatchedEval(true);
-  for (int k = 0; k < 5; ++k) bat.eval(x, 1e-4, true, &x);
-  const perf::Snapshot sb = bat.counters();
+  const perf::Snapshot sb = counted([&] {
+    for (int k = 0; k < 5; ++k) bat.eval(x, 1e-4, true, &x);
+  });
   EXPECT_EQ(sb.evals, 5u);
   EXPECT_EQ(sb.evalBatched, 5u);
   EXPECT_LE(sb.evalBatchNs, sb.evalNs);
 
   MnaWorkspace ref(*m.sys);
   ref.setBatchedEval(false);
-  for (int k = 0; k < 5; ++k) ref.eval(x, 1e-4, true, &x);
-  const perf::Snapshot ss = ref.counters();
+  const perf::Snapshot ss = counted([&] {
+    for (int k = 0; k < 5; ++k) ref.eval(x, 1e-4, true, &x);
+  });
   EXPECT_EQ(ss.evals, 5u);
   EXPECT_EQ(ss.evalBatched, 0u);
 
@@ -417,11 +428,12 @@ TEST(DeviceBatch, CountersTrackBatchedSubset) {
   std::vector<Real> ts(S, 1e-4);
   for (std::size_t s = 0; s < S; ++s)
     for (std::size_t u = 0; u < n; ++u) xs(u, s) = x[u];
-  bat.evalSamples(xs, ts.data(), ts.data(), false, fS, qS, bS, nullptr,
-                  nullptr);
-  const perf::Snapshot sb2 = bat.counters();
-  EXPECT_EQ(sb2.evals, 5u + S);
-  EXPECT_EQ(sb2.evalBatched, 5u + S);
+  const perf::Snapshot sb2 = counted([&] {
+    bat.evalSamples(xs, ts.data(), ts.data(), false, fS, qS, bS, nullptr,
+                    nullptr);
+  });
+  EXPECT_EQ(sb2.evals, S);
+  EXPECT_EQ(sb2.evalBatched, S);
 }
 
 }  // namespace

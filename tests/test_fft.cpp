@@ -340,8 +340,9 @@ TEST_P(GridBatchCases, MatchesGrid2DOnLiveColumns) {
       const perf::ThreadPool::ScopedLaneCap cap(lanes);
       std::vector<Complex> got = input;
       perf::Counters counters;
+      const perf::CounterScope scope(counters);
       transformGridBatch(rowPlan, colPlan, got.data(), count, rows, cols,
-                         gc.live.data(), gc.live.size(), inverse, &counters);
+                         gc.live.data(), gc.live.size(), inverse);
       EXPECT_EQ(counters.snapshot().fftCount, count * perGrid);
       for (std::size_t i = 0; i < got.size(); ++i) {
         if (!inverse && !isLive[i % cols]) continue;

@@ -2,13 +2,21 @@
 // parallel fan-out paths (HB preconditioner blocks, jitter MC, MoM fill).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cstddef>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <numeric>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common.hpp"
 #include "perf/perf.hpp"
 #include "perf/thread_pool.hpp"
@@ -32,11 +40,6 @@ TEST(PerfCounters, AccumulateAndSnapshot) {
   EXPECT_EQ(s.refactorizations, 1u);
   EXPECT_EQ(s.solves, 2u);
   EXPECT_EQ(s.solveNs, 7u);
-
-  c.reset();
-  const Snapshot z = c.snapshot();
-  EXPECT_EQ(z.evals, 0u);
-  EXPECT_EQ(z.solveNs, 0u);
 }
 
 TEST(PerfCounters, SnapshotPlusEquals) {
@@ -50,6 +53,112 @@ TEST(PerfCounters, SnapshotPlusEquals) {
   EXPECT_EQ(a.evals, 7u);
   EXPECT_EQ(a.factorNs, 42u);
   EXPECT_EQ(a.refactorizations, 2u);
+}
+
+// ------------------------------------------------------- the counter table
+
+// Independent of bench_util's converter: fftCount → fft_count.
+std::string snake(const std::string& camel) {
+  std::string out;
+  for (const char ch : camel) {
+    if (std::isupper(static_cast<unsigned char>(ch))) {
+      out += '_';
+      out += static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+    } else {
+      out += ch;
+    }
+  }
+  return out;
+}
+
+// Distinct nonzero value per counter, so each export can be checked for the
+// right number under the right key.
+Snapshot numbered() {
+  Snapshot s;
+  for (std::size_t i = 0; i < kFieldCount; ++i)
+    s.*kFields[i].member = 1000 + i;
+  return s;
+}
+
+TEST(PerfTable, MergeRulesFollowTheTable) {
+  std::set<std::string> gauges;
+  for (const Field& f : kFields)
+    if (f.merge == Merge::Max) gauges.insert(f.name);
+  EXPECT_EQ(gauges, (std::set<std::string>{"memPeakBytes", "factorFillNnz",
+                                           "refactorLevels"}));
+
+  // Snapshot::operator+= and Counters::addSnapshot apply the same rule.
+  Snapshot a = numbered(), b = numbered();
+  for (const Field& f : kFields) b.*f.member += 5;
+  Counters c;
+  c.addSnapshot(a);
+  c.addSnapshot(b);
+  a += b;
+  const Snapshot folded = c.snapshot();
+  for (std::size_t i = 0; i < kFieldCount; ++i) {
+    const Field& f = kFields[i];
+    const std::uint64_t want =
+        f.merge == Merge::Sum ? 2 * (1000 + i) + 5 : 1000 + i + 5;
+    EXPECT_EQ(a.*f.member, want) << f.name;
+    EXPECT_EQ(folded.*f.member, want) << f.name;
+  }
+}
+
+TEST(PerfTable, EveryCounterReachesEveryExport) {
+  const Snapshot s = numbered();
+  const std::string text = format(s);
+  std::string json = "{\"head\":0";
+  appendJsonFields(json, s);
+  json += '}';
+
+  bench::JsonReporter rep("perf_table_keys");
+  rep.counters("p", s);
+  rep.write();
+  std::ifstream in("BENCH_perf_table_keys.json");
+  ASSERT_TRUE(in.good());
+  const std::string bench((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  std::remove("BENCH_perf_table_keys.json");
+
+  // format(): one "<name> <value> <doc>" line per counter, in table order.
+  std::istringstream lines(text);
+  std::string line;
+  std::size_t row = 0;
+  while (std::getline(lines, line)) {
+    ASSERT_LT(row, kFieldCount);
+    std::istringstream cols(line);
+    std::string name, value;
+    cols >> name >> value;
+    EXPECT_EQ(name, kFields[row].name);
+    EXPECT_EQ(value, std::to_string(1000 + row)) << name;
+    EXPECT_NE(line.find(kFields[row].doc), std::string::npos) << name;
+    ++row;
+  }
+  EXPECT_EQ(row, kFieldCount);
+
+  for (std::size_t i = 0; i < kFieldCount; ++i) {
+    const std::string key = kFields[i].name;
+    const std::string v = std::to_string(1000 + i);
+    EXPECT_NE(json.find(",\"" + key + "\":" + v), std::string::npos) << key;
+    EXPECT_NE(bench.find("\"p." + snake(key) + "\": " + v), std::string::npos)
+        << key;
+  }
+  // One JSON field per counter, nothing more.
+  EXPECT_EQ(static_cast<std::size_t>(std::count(json.begin(), json.end(), ':')),
+            kFieldCount + 1);
+
+  // The bench keys recorded in committed baselines keep their names.
+  for (const char* key :
+       {"evals", "eval_batched", "factorizations", "refactorizations",
+        "solves", "retries", "fallbacks", "fft_count", "plan_cache_hits",
+        "plan_cache_misses", "matvecs", "extract_builds", "eval_ns",
+        "eval_batch_ns", "factor_ns", "refactor_ns", "solve_ns", "fft_ns",
+        "matvec_ns", "extract_build_ns", "extract_compress_ns",
+        "mem_peak_bytes"})
+    EXPECT_NE(bench.find(std::string("\"p.") + key + "\": "),
+              std::string::npos)
+        << key;
 }
 
 TEST(PerfCounters, ConcurrentIncrementsAreExact) {
@@ -198,7 +307,8 @@ TEST(PerfFormat, MentionsEveryStage) {
   EXPECT_NE(r.find("refactor"), std::string::npos);
   EXPECT_NE(r.find("solve"), std::string::npos);
   EXPECT_NE(r.find("fft"), std::string::npos);
-  EXPECT_NE(r.find("plan cache"), std::string::npos);
+  EXPECT_NE(r.find("planCacheHits"), std::string::npos);
+  EXPECT_NE(r.find("planCacheMisses"), std::string::npos);
   EXPECT_NE(r.find("12"), std::string::npos);
 }
 

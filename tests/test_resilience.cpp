@@ -588,11 +588,25 @@ TEST(HBResilience, SourceRampLadderRescuesHardDrive) {
   EXPECT_EQ(base.strategy, "base");
 
   // ... and the ladder must rescue it via the deeper source ramp.
-  const auto sol = eng.solve(dc.x);
+  perf::Counters outer;
+  hb::HBSolution sol;
+  {
+    const perf::CounterScope scope(outer);
+    sol = eng.solve(dc.x);
+  }
   EXPECT_TRUE(sol.converged);
   EXPECT_EQ(sol.strategy, "source-ramp");
   EXPECT_GE(sol.retries, 1u);
   EXPECT_GE(sol.perf.retries, 1u);
+  // Each rung past the base is one retry and one fallback, counted once:
+  // the solve's snapshot and the scope around it agree.
+  EXPECT_EQ(sol.perf.retries, sol.retries);
+  EXPECT_EQ(sol.perf.fallbacks, sol.retries);
+  const perf::Snapshot around = outer.snapshot();
+  EXPECT_EQ(around.retries, sol.retries);
+  EXPECT_EQ(around.fallbacks, sol.retries);
+  EXPECT_EQ(around.evals, sol.perf.evals);
+  EXPECT_EQ(around.fftCount, sol.perf.fftCount);
   // Rectified output: positive DC at the load.
   EXPECT_GT(sol.at(static_cast<std::size_t>(c.findNode("out")), 0).real(),
             1.0);

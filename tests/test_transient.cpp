@@ -5,10 +5,12 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "analysis/dc.hpp"
 #include "analysis/transient.hpp"
 #include "circuit/devices.hpp"
+#include "circuit/mna_workspace.hpp"
 #include "circuit/semiconductors.hpp"
 #include "circuit/sources.hpp"
 
@@ -48,6 +50,39 @@ TEST(Transient, RCStepResponseMatchesAnalytic) {
   for (std::size_t k = 0; k < tr.time.size(); k += 50) {
     const Real expct = 1.0 - std::exp(-tr.time[k] / 1e-3);
     EXPECT_NEAR(tr.x[k][static_cast<std::size_t>(f.out)], expct, 2e-4);
+  }
+}
+
+// An analysis reports the work of its own run, not the lifetime total of
+// the workspace it stepped on: an engine context reuses one workspace for
+// every job of a topology.
+TEST(Transient, PerfCountsOnlyThisRunOnASharedWorkspace) {
+  RCFixture f(std::make_shared<SineWave>(1.0, 1e3));
+  MnaWorkspace ws(*f.sys);
+  DCOptions dco;
+  dco.workspace = &ws;
+  TransientOptions to;
+  to.tstop = 1e-3;
+  to.dt = 1e-5;
+  to.workspace = &ws;
+  const auto pass = [&] {
+    const DCResult dc = dcOperatingPoint(*f.sys, dco);
+    return std::pair{dc.perf, runTransient(*f.sys, dc.x, to).perf};
+  };
+  // The first pass analyzes the pattern; later passes replay it, so they
+  // must do (and report) exactly the same work.
+  const auto [dc0, tr0] = pass();
+  const auto [dc1, tr1] = pass();
+  const auto [dc2, tr2] = pass();
+  EXPECT_EQ(tr0.factorizations + tr0.refactorizations,
+            tr1.factorizations + tr1.refactorizations);
+  EXPECT_GT(dc1.evals, 0u);
+  EXPECT_GE(tr1.evals, 100u);
+  for (const auto& [a, b] : {std::pair{dc1, dc2}, std::pair{tr1, tr2}}) {
+    EXPECT_EQ(b.evals, a.evals);
+    EXPECT_EQ(b.solves, a.solves);
+    EXPECT_EQ(b.factorizations, a.factorizations);
+    EXPECT_EQ(b.refactorizations, a.refactorizations);
   }
 }
 

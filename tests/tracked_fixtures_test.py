@@ -4,7 +4,8 @@
 The CLI goldens (tests/golden/*.out) once went uncommitted because the
 repository ignores *.out: every local run passed on its author's tree and
 failed on a clean checkout. This test runs `git check-ignore --no-index`
-over every file under the fixture directories a registered test reads, so
+over every file under the fixture directories a registered test reads
+(recursively), so
 a new ignore rule (or a new fixture with an ignored extension) fails here
 instead of on the next clone. Outside a git checkout (e.g. a source
 tarball) there is nothing to check, and the test reports a skip.
@@ -17,7 +18,9 @@ import os
 import subprocess
 import sys
 
-FIXTURE_DIRS = ("tests/golden", "bench/baseline")
+# Every directory whose files a registered test reads, walked recursively.
+FIXTURE_DIRS = ("tests/golden", "bench/baseline", "examples/netlists",
+                "tests/static/numerics_fixture", "tests/static/rt_fixture")
 SKIP = 77
 
 
@@ -41,9 +44,10 @@ def main():
         if not os.path.isdir(full):
             print(f"FAIL: fixture directory {d} is missing")
             return 1
-        for name in sorted(os.listdir(full)):
-            if os.path.isfile(os.path.join(full, name)):
-                files.append(os.path.join(d, name))
+        for dirpath, dirnames, names in os.walk(full):
+            dirnames.sort()
+            rel = os.path.relpath(dirpath, root)
+            files.extend(os.path.join(rel, n) for n in sorted(names))
     if not files:
         print("FAIL: no fixture files found")
         return 1
