@@ -15,12 +15,26 @@
 // setting) trims the node counts; the full run goes to a ~50k-node mesh
 // for the natural/AMD comparison and ~100k nodes AMD-only (the natural
 // analysis scan is O(n²) — the very cost the ordering stage removes).
+//
+// The mesh_ac row runs a whole analysis instead: the 7-point
+// `.ac dec 2 1k 1meg` sweep of a 48×48 RC mesh circuit through acSweep
+// under AMD — one (G + jωC) pencil analysis plus one refactorization per
+// further point — reporting time per point and the sweep's ledger.
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "analysis/ac.hpp"
 #include "bench_util.hpp"
+#include "circuit/devices.hpp"
+#include "circuit/sources.hpp"
+#include "perf/perf.hpp"
 #include "perf/thread_pool.hpp"
+#include "sparse/ordering.hpp"
 #include "sparse/sparse_matrix.hpp"
 #include "sparse/symbolic_lu.hpp"
 
@@ -128,6 +142,70 @@ CaseResult runCase(const char* label, const sparse::RCSR& a,
   return res;
 }
 
+struct AcSweepResult {
+  std::size_t n = 0;       ///< circuit unknowns
+  std::size_t points = 0;
+  Real msPerPoint = 0;     ///< best of the repetitions
+  perf::Snapshot perf;     ///< one sweep's counters
+};
+
+// k×k RC mesh circuit (the tools/gen_mesh.py defaults: 100 Ω edges, 1 pF
+// to ground, ±25% spread) driven at one corner, swept like the netlist
+// card `.ac dec 2 1k 1meg` with AMD ordering.
+AcSweepResult runMeshAc(std::size_t k, std::size_t reps) {
+  circuit::Circuit c;
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<Real> spread(0.75, 1.25);
+  std::vector<int> node(k * k);
+  for (std::size_t u = 0; u < k * k; ++u)
+    node[u] = c.node("n" + std::to_string(u));
+  const int br = c.allocBranch("V1");
+  const auto& vs = c.add<circuit::VSource>(
+      "V1", node[0], -1, br, std::make_shared<circuit::DCWave>(0.0));
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t u = i * k + j;
+      const std::string id = std::to_string(u);
+      if (j + 1 < k)
+        c.add<circuit::Resistor>("Rh" + id, node[u], node[u + 1],
+                                 100.0 * spread(rng));
+      if (i + 1 < k)
+        c.add<circuit::Resistor>("Rv" + id, node[u], node[u + k],
+                                 100.0 * spread(rng));
+      c.add<circuit::Capacitor>("C" + id, node[u], -1, 1e-12 * spread(rng));
+    }
+  const circuit::MnaSystem sys(c);
+  // Linear circuit: the small-signal matrices do not depend on the
+  // operating point, so the zero state stands in for it.
+  const numeric::RVec xop(sys.dim(), 0.0);
+  const auto freqs = analysis::logspace(1e3, 1e6, 7);
+  const auto u = analysis::acStimulusVSource(sys, vs);
+  const sparse::ScopedOrderingOverride amd(sparse::Ordering::Amd);
+
+  AcSweepResult res;
+  res.n = sys.dim();
+  res.points = freqs.size();
+  res.msPerPoint = std::numeric_limits<Real>::max();
+  for (std::size_t r = 0; r < reps; ++r) {
+    perf::Counters counters;
+    Stopwatch sw;
+    {
+      const perf::CounterScope scope(counters);
+      (void)analysis::acSweep(sys, xop, freqs, u);
+    }
+    res.msPerPoint = std::min(
+        res.msPerPoint, sw.seconds() * 1e3 / static_cast<Real>(res.points));
+    res.perf = counters.snapshot();
+  }
+  std::printf("%-14s %8zu %8zu pts %10.3f ms/pt  factor %llu  refactor %llu"
+              "  solves %llu\n",
+              "mesh_ac/amd", res.n, res.points, res.msPerPoint,
+              static_cast<unsigned long long>(res.perf.factorizations),
+              static_cast<unsigned long long>(res.perf.refactorizations),
+              static_cast<unsigned long long>(res.perf.solves));
+  return res;
+}
+
 }  // namespace
 
 int main() {
@@ -158,6 +236,8 @@ int main() {
 
   const sparse::RCSR lad = ladder(quick ? 10000 : 100000, 3);
   const auto ladAmd = runCase("ladder/amd", lad, sparse::Ordering::Amd, reps);
+
+  const auto meshAc = runMeshAc(48, quick ? 3 : 5);
 
   rule();
   const Real natLoop = nat.refactorMs + nat.solveMs;
@@ -195,6 +275,12 @@ int main() {
   json.metric("mesh_big.amd.refactor_s", amdBig.refactorMs * 1e-3);
   json.metric("mesh_big.amd.refactor_parallel_s", amdBig.refactorParMs * 1e-3);
   json.metric("mesh_big.speedup_parallel", speedupPar);
+  json.count("mesh_ac.n", meshAc.n);
+  json.count("mesh_ac.points", meshAc.points);
+  json.metric("mesh_ac.per_point_s", meshAc.msPerPoint * 1e-3);
+  json.count("mesh_ac.factorizations", meshAc.perf.factorizations);
+  json.count("mesh_ac.refactorizations", meshAc.perf.refactorizations);
+  json.count("mesh_ac.solves", meshAc.perf.solves);
   json.count("ladder.n", ladAmd.n);
   json.metric("ladder.amd.fill", ladAmd.fill);
   json.metric("ladder.amd.refactor_s", ladAmd.refactorMs * 1e-3);

@@ -2,39 +2,24 @@
 
 #include <cmath>
 
-#include "sparse/sparse_lu.hpp"
+#include "circuit/mna_workspace.hpp"
+#include "sparse/pencil.hpp"
 
 namespace rfic::analysis {
 
-namespace {
-
-sparse::CTriplets acMatrix(const MnaSystem& sys, const RVec& xop,
-                           Real freqHz) {
-  circuit::MnaEval e;
-  sys.eval(xop, 0.0, e, true);
-  const std::size_t n = sys.dim();
-  sparse::CTriplets a(n, n);
-  for (const auto& en : e.G.entries()) a.add(en.row, en.col, Complex(en.value, 0.0));
-  const Real w = kTwoPi * freqHz;
-  for (const auto& en : e.C.entries()) a.add(en.row, en.col, Complex(0.0, w * en.value));
-  return a;
-}
-
-}  // namespace
-
-CVec acSolve(const MnaSystem& sys, const RVec& xop, Real freqHz,
-             const CVec& stimulus) {
-  RFIC_REQUIRE(stimulus.size() == sys.dim(), "acSolve: stimulus size mismatch");
-  sparse::CSparseLU lu(acMatrix(sys, xop, freqHz));
-  return lu.solve(stimulus);
-}
-
 ACResult acSweep(const MnaSystem& sys, const RVec& xop,
                  const std::vector<Real>& freqs, const CVec& stimulus) {
+  RFIC_REQUIRE(stimulus.size() == sys.dim(), "acSweep: stimulus size mismatch");
+  circuit::MnaWorkspace ws(sys);
+  ws.eval(xop, 0.0, true);
+  sparse::Pencil pencil(ws.pattern(), ws.gValues(), ws.cValues());
   ACResult out;
   out.freq = freqs;
   out.x.reserve(freqs.size());
-  for (const Real f : freqs) out.x.push_back(acSolve(sys, xop, f, stimulus));
+  for (const Real f : freqs) {
+    pencil.factor({0.0, kTwoPi * f});
+    out.x.push_back(pencil.solve(stimulus));
+  }
   return out;
 }
 

@@ -1,5 +1,8 @@
 // Small-signal AC analysis: linearize at an operating point and solve
-// (G + jωC)·x = u over a frequency sweep.
+// (G + jωC)·x = u over a frequency sweep. G and C come from one
+// MnaWorkspace evaluation at the operating point; the sweep analyzes the
+// pencil once and refactors it at every further frequency
+// (sparse/pencil.hpp).
 #pragma once
 
 #include <vector>
@@ -18,12 +21,9 @@ struct ACResult {
   std::vector<CVec> x;  ///< one solution vector per frequency
 };
 
-/// Solve (G + j·2πf·C) x = u at a single frequency, with G, C linearized at
-/// operating point xop.
-CVec acSolve(const MnaSystem& sys, const RVec& xop, Real freqHz,
-             const CVec& stimulus);
-
-/// Sweep a list of frequencies with one factorization per point.
+/// Solve (G + j·2πf·C) x = u at every frequency, with G, C linearized at
+/// operating point xop: one analysis at the first point, one numeric
+/// refactorization per further point.
 ACResult acSweep(const MnaSystem& sys, const RVec& xop,
                  const std::vector<Real>& freqs, const CVec& stimulus);
 

@@ -2,7 +2,8 @@
 
 #include <cmath>
 
-#include "sparse/sparse_lu.hpp"
+#include "circuit/mna_workspace.hpp"
+#include "sparse/pencil.hpp"
 
 namespace rfic::analysis {
 
@@ -11,9 +12,12 @@ NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
   RFIC_REQUIRE(outNode >= 0, "noiseAnalysis: output node must not be ground");
   const std::size_t n = sys.dim();
 
-  circuit::MnaEval e;
-  sys.eval(xop, 0.0, e, true);
+  circuit::MnaWorkspace ws(sys);
+  ws.eval(xop, 0.0, true);
+  sparse::Pencil pencil(ws.pattern(), ws.gValues(), ws.cValues());
   const auto sources = sys.noiseSources(xop);
+  numeric::CVec rhs(n);
+  rhs[static_cast<std::size_t>(outNode)] = 1.0;
 
   NoiseResult out;
   out.freq = freqs;
@@ -21,18 +25,10 @@ NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
   out.contributions.reserve(freqs.size());
 
   for (const Real f : freqs) {
-    // Assemble Aᴴ = (G + jωC)ᴴ directly: entry (i,j) ← conj(A(j,i)).
-    const Real w = kTwoPi * f;
-    sparse::CTriplets ah(n, n);
-    for (const auto& en : e.G.entries())
-      ah.add(en.col, en.row, Complex(en.value, 0.0));
-    for (const auto& en : e.C.entries())
-      ah.add(en.col, en.row, Complex(0.0, -w * en.value));
-    sparse::CSparseLU lu(ah);
-
-    numeric::CVec rhs(n);
-    rhs[static_cast<std::size_t>(outNode)] = 1.0;
-    const numeric::CVec adj = lu.solve(rhs);
+    // Adjoint: Aᵀ·y = e_out gives y_i = ∂v_out/∂(current injected at i)
+    // for A = G + jωC (the Aᴴ adjoint is its conjugate; |·|² agrees).
+    pencil.factor({0.0, kTwoPi * f});
+    const numeric::CVec adj = pencil.solveTransposed(rhs);
 
     Real total = 0;
     std::vector<NoiseContribution> contribs;

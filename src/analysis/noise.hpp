@@ -1,8 +1,10 @@
 // Stationary small-signal noise analysis via the adjoint method.
 //
-// For each frequency one adjoint solve (G + jωC)ᴴ w = e_out yields the
+// For each frequency one adjoint solve (G + jωC)ᵀ w = e_out yields the
 // transfer from *every* device noise generator to the output at once; the
-// output PSD is then  Σ_sources |w(n+) − w(n−)|² · S_source(f).
+// output PSD is then  Σ_sources |w(n+) − w(n−)|² · S_source(f). The sweep
+// analyzes the pencil once and refactors it per frequency
+// (sparse/pencil.hpp); the transposed solve reuses the same factors.
 // This is the per-source sensitivity capability the paper highlights in
 // Sections 3 and 5, in its simplest (non-cyclostationary) form; the
 // oscillator-specific machinery lives in src/phasenoise.

@@ -2,9 +2,10 @@
 
 #include <cmath>
 
+#include "circuit/mna_workspace.hpp"
 #include "numeric/eig.hpp"
 #include "numeric/lu.hpp"
-#include "sparse/sparse_lu.hpp"
+#include "sparse/pencil.hpp"
 
 namespace rfic::analysis {
 
@@ -16,54 +17,11 @@ Real SParameters::magDb(std::size_t i, std::size_t j) const {
   return m > 0 ? 20.0 * std::log10(m) : -400.0;
 }
 
-SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
-                        const std::vector<Port>& ports, Real freqHz,
-                        Real z0) {
-  RFIC_REQUIRE(!ports.empty(), "sParameters: at least one port");
-  RFIC_REQUIRE(z0 > 0, "sParameters: positive reference impedance");
-  const std::size_t np = ports.size();
+namespace {
 
-  // Z-matrix: inject 1 A into port j (others open), read port voltages.
-  // One factorization serves all ports. Tiny shunt conductances at the
-  // port nodes regularize networks that float when every port is open
-  // (e.g. a bare series element) — the |S| error is ~Z0·gminPort ≈ 5e-11.
-  circuit::MnaEval e;
-  sys.eval(xop, 0.0, e, true);
-  const std::size_t n = sys.dim();
-  sparse::CTriplets a(n, n);
-  for (const auto& en : e.G.entries())
-    a.add(en.row, en.col, Complex(en.value, 0.0));
-  const Real w = kTwoPi * freqHz;
-  for (const auto& en : e.C.entries())
-    a.add(en.row, en.col, Complex(0.0, w * en.value));
-  const Real gminPort = 1e-12;
-  for (const auto& p : ports) {
-    if (p.nodePlus >= 0)
-      a.add(static_cast<std::size_t>(p.nodePlus),
-            static_cast<std::size_t>(p.nodePlus), gminPort);
-    if (p.nodeMinus >= 0)
-      a.add(static_cast<std::size_t>(p.nodeMinus),
-            static_cast<std::size_t>(p.nodeMinus), gminPort);
-  }
-  const sparse::CSparseLU lu0(a);
-
-  CMat z(np, np);
-  for (std::size_t j = 0; j < np; ++j) {
-    const CVec u = acStimulusCurrent(sys, ports[j].nodeMinus,
-                                     ports[j].nodePlus, {1.0, 0.0});
-    const CVec x = lu0.solve(u);
-    for (std::size_t i = 0; i < np; ++i) {
-      const Complex vp = ports[i].nodePlus >= 0
-                             ? x[static_cast<std::size_t>(ports[i].nodePlus)]
-                             : 0.0;
-      const Complex vm = ports[i].nodeMinus >= 0
-                             ? x[static_cast<std::size_t>(ports[i].nodeMinus)]
-                             : 0.0;
-      z(i, j) = vp - vm;
-    }
-  }
-
-  // S = (Z − Z0 I)(Z + Z0 I)⁻¹.
+// S = (Z − Z0 I)(Z + Z0 I)⁻¹ of one frequency point.
+SParameters fromZ(const CMat& z, Real z0, Real freqHz) {
+  const std::size_t np = z.rows();
   CMat num = z, den = z;
   for (std::size_t i = 0; i < np; ++i) {
     num(i, i) -= z0;
@@ -84,14 +42,65 @@ SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
   return out;
 }
 
+}  // namespace
+
+SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
+                        const std::vector<Port>& ports, Real freqHz,
+                        Real z0) {
+  return sParameterSweep(sys, xop, ports, {freqHz}, z0).front();
+}
+
 std::vector<SParameters> sParameterSweep(const MnaSystem& sys,
                                          const numeric::RVec& xop,
                                          const std::vector<Port>& ports,
                                          const std::vector<Real>& freqs,
                                          Real z0) {
+  RFIC_REQUIRE(!ports.empty(), "sParameters: at least one port");
+  RFIC_REQUIRE(z0 > 0, "sParameters: positive reference impedance");
+  const std::size_t np = ports.size();
+
+  // Z-matrix: inject 1 A into port j (others open), read port voltages.
+  // One factorization per frequency serves all ports. Tiny shunt
+  // conductances at the port nodes regularize networks that float when
+  // every port is open (e.g. a bare series element) — the |S| error is
+  // ~Z0·gminPort ≈ 5e-11. The workspace pattern holds every diagonal.
+  circuit::MnaWorkspace ws(sys);
+  ws.eval(xop, 0.0, true);
+  const sparse::RCSR& pat = ws.pattern();
+  std::vector<Real> g = ws.gValues();
+  const Real gminPort = 1e-12;
+  const auto shunt = [&](int node) {
+    if (node < 0) return;
+    const auto i = static_cast<std::size_t>(node);
+    for (std::size_t p = pat.rowPtr()[i]; p < pat.rowPtr()[i + 1]; ++p)
+      if (pat.colIdx()[p] == i) g[p] += gminPort;
+  };
+  std::vector<CVec> stimuli;
+  for (const auto& p : ports) {
+    shunt(p.nodePlus);
+    shunt(p.nodeMinus);
+    stimuli.push_back(acStimulusCurrent(sys, p.nodeMinus, p.nodePlus));
+  }
+  sparse::Pencil pencil(pat, g, ws.cValues());
+
+  const auto portVoltage = [&](const CVec& x, const Port& p) {
+    const Complex vp =
+        p.nodePlus >= 0 ? x[static_cast<std::size_t>(p.nodePlus)] : 0.0;
+    const Complex vm =
+        p.nodeMinus >= 0 ? x[static_cast<std::size_t>(p.nodeMinus)] : 0.0;
+    return vp - vm;
+  };
   std::vector<SParameters> out;
   out.reserve(freqs.size());
-  for (const Real f : freqs) out.push_back(sParameters(sys, xop, ports, f, z0));
+  for (const Real f : freqs) {
+    pencil.factor({0.0, kTwoPi * f});
+    CMat z(np, np);
+    for (std::size_t j = 0; j < np; ++j) {
+      const CVec x = pencil.solve(stimuli[j]);
+      for (std::size_t i = 0; i < np; ++i) z(i, j) = portVoltage(x, ports[i]);
+    }
+    out.push_back(fromZ(z, z0, f));
+  }
   return out;
 }
 

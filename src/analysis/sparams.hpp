@@ -30,12 +30,14 @@ struct SParameters {
   Real magDb(std::size_t i, std::size_t j) const;
 };
 
-/// Compute S at one frequency from the circuit linearized at xop.
+/// Compute S at one frequency from the circuit linearized at xop (the
+/// one-point case of sParameterSweep).
 SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
                         const std::vector<Port>& ports, Real freqHz,
                         Real z0 = 50.0);
 
-/// Frequency sweep.
+/// Frequency sweep: one (G + jωC) pencil analyzed at the first point and
+/// refactored at every further one; one factorization serves all ports.
 std::vector<SParameters> sParameterSweep(const MnaSystem& sys,
                                          const numeric::RVec& xop,
                                          const std::vector<Port>& ports,

@@ -401,11 +401,11 @@ diag::SolverStatus MnaWorkspace::factorJacobian(Real cCoeff, Real gCoeff,
   // singular matrix: the workspace pattern is still current, but the LU
   // holds no usable program to replay.
   if (!luPatternCurrent_ || !lu_.analyzed()) {
-    sparse::RCSR j = pattern_;
-    j.values() = jVals_;
     sparse::RSymbolicLU::Options o;
     o.ordering = ordering_;
-    lu_.factor(j, o);
+    // rt: allow(rt-alloc) cold first analysis — runs once per pattern (and
+    // after a throw); steady-state Newton steps take the refactor below
+    lu_.factor(sparse::RCSR(pattern_, jVals_), o);
     luPatternCurrent_ = true;
     const auto ns = timer.ns();
     perf::global().addFactorization(ns);

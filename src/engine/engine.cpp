@@ -578,8 +578,8 @@ JobResult Engine::run(const JobSpec& spec, EventSink& sink,
     std::optional<perf::ThreadPool::ScopedLaneCap> lanes;
     if (spec.threadShare > 0) lanes.emplace(spec.threadShare);
     // Per-job pivot ordering: install a thread-local override so every
-    // factorization this job performs (workspace, HB blocks, one-shot AC
-    // LUs) resolves Auto to the job's choice without racing other jobs.
+    // factorization this job performs (workspace, HB blocks, AC and noise
+    // pencils) resolves Auto to the job's choice without racing other jobs.
     std::optional<sparse::ScopedOrderingOverride> orderingOverride;
     if (!spec.ordering.empty()) {
       sparse::Ordering ord;

@@ -208,6 +208,10 @@ void Scheduler::shutdown() {
 void Scheduler::finalize(Entry& e, JobResult result, diag::UniqueLock& lock,
                          const std::string& stderrText) {
   e.result = std::move(result);
+  // jobs_ keeps every entry for info()/wait(), but nothing reads a
+  // terminal job's netlist again: drop the text so a long-running daemon
+  // does not grow by one netlist per job.
+  std::string().swap(e.spec.netlist);
   std::shared_ptr<EventSink> sink = std::move(e.sink);
   Event fin;
   fin.kind = Event::Kind::Finished;

@@ -164,10 +164,12 @@ class HarmonicBalance {
   std::size_t m1_ = 1, m2_ = 1, msamp_ = 1;
   std::vector<std::array<int, 2>> indices_;  // canonical retained set
 
-  // Spectral plans, fetched once from the process-wide fft::PlanCache at
-  // construction: colPlan_ transforms the m1 (tone-1) axis, rowPlan_ the
-  // m2 (tone-2) axis of the bivariate grid.
-  std::shared_ptr<const fft::Plan> rowPlan_, colPlan_;
+  // Spectral plans from the process-wide fft::PlanCache, fetched at
+  // construction and again at the start of every solve attempt (inside its
+  // exclusive scope, so the solve's counters see the lookups): colPlan_
+  // transforms the m1 (tone-1) axis, rowPlan_ the m2 (tone-2) axis of the
+  // bivariate grid.
+  mutable std::shared_ptr<const fft::Plan> rowPlan_, colPlan_;
   // Harmonic→grid index map, built once: retained index j lives at flat
   // grid position binPos_[j] and its conjugate mirror (−k1, −k2) at
   // binMirror_[j] (both 0 for DC). liveCols_ lists the grid columns (tone-2

@@ -61,68 +61,26 @@ RFIC_REALTIME void HBOperator::apply(const RVec& y, RVec& out) const {
 }
 
 HBBlockPreconditioner::HBBlockPreconditioner(const HarmonicBalance& engine)
-    : eng_(engine), blocks_(engine.indices_.size()) {}
+    : eng_(engine) {}
 
-HBBlockPreconditioner::HBBlockPreconditioner(const HarmonicBalance& engine,
-                                             const sparse::RTriplets& gAvg,
-                                             const sparse::RTriplets& cAvg)
-    : HBBlockPreconditioner(engine) {
-  update(gAvg, cAvg);
-}
-
-void HBBlockPreconditioner::update(const sparse::RTriplets& gAvg,
-                                   const sparse::RTriplets& cAvg) {
-  const std::size_t n = eng_.n_;
-  // Pack Ḡ and C̄ into one complex CSR over their union pattern: the real
-  // part accumulates g, the imaginary part c, so block κ's value array is
-  // simply Complex(g_p, ω_κ·c_p).
-  sparse::CTriplets packedT(n, n);
-  for (const auto& en : gAvg.entries())
-    packedT.add(en.row, en.col, Complex(en.value, 0.0));
-  for (const auto& en : cAvg.entries())
-    packedT.add(en.row, en.col, Complex(0.0, en.value));
-  sparse::CCSR packed(packedT);
-
-  const bool samePattern = havePattern_ &&
-                           packed.rowPtr() == packed_.rowPtr() &&
-                           packed.colIdx() == packed_.colIdx();
-  packed_ = std::move(packed);
-  if (!samePattern) {
-    // A device started (or stopped) stamping a position — the recorded
-    // block pivots no longer match; rebuild from scratch.
-    blocks_.assign(eng_.indices_.size(), sparse::CSymbolicLU());
-    havePattern_ = true;
+void HBBlockPreconditioner::update(const sparse::RCSR& pattern,
+                                   const std::vector<Real>& gAvg,
+                                   const std::vector<Real>& cAvg,
+                                   std::size_t patternVersion) {
+  if (blocks_.empty() || patternVersion != patternVersion_) {
+    // First build, or a device started (or stopped) stamping a position:
+    // the recorded block pivots no longer match — analyze afresh. The
+    // pencils resolve the ordering here, on the calling thread: a per-job
+    // ScopedOrderingOverride is thread-local and would not be visible from
+    // the pool's workers.
+    blocks_.clear();
+    blocks_.reserve(eng_.indices_.size());
+    for (std::size_t j = 0; j < eng_.indices_.size(); ++j)
+      blocks_.emplace_back(pattern, gAvg, cAvg);
+    patternVersion_ = patternVersion;
   }
-  if (blockVals_.size() != blocks_.size()) blockVals_.resize(blocks_.size());
-
-  const std::size_t nnz = packed_.nnz();
-  const auto& pv = packed_.values();
-  // Resolve the ordering on the calling thread: per-job ScopedOrderingOverride
-  // is thread-local and would not be visible from the pool's workers.
-  sparse::CSymbolicLU::Options luOpts;
-  luOpts.ordering = sparse::effectiveOrdering();
-  auto& pool = perf::ThreadPool::global();
-  pool.parallelFor(blocks_.size(), [&](std::size_t j) {
-    const Real w = eng_.omega(j);
-    // Persistent per-block value array: after the first Newton iteration
-    // this is a plain overwrite, not an allocation.
-    std::vector<Complex>& vals = blockVals_[j];
-    vals.resize(nnz);
-    for (std::size_t p = 0; p < nnz; ++p)
-      vals[p] = Complex(pv[p].real(), w * pv[p].imag());
-    const perf::Timer timer;
-    if (blocks_[j].analyzed()) {
-      const auto st = blocks_[j].refactor(vals);
-      if (st == diag::SolverStatus::Converged)
-        perf::global().addRefactorization(timer.ns());
-      else  // SolverStatus::Repivoted — a full factorization ran
-        perf::global().addFactorization(timer.ns());
-    } else {
-      sparse::CCSR block = packed_;
-      block.values() = vals;
-      blocks_[j].factor(block, luOpts);
-      perf::global().addFactorization(timer.ns());
-    }
+  perf::ThreadPool::global().parallelFor(blocks_.size(), [&](std::size_t j) {
+    blocks_[j].factor({0.0, eng_.omega(j)});
   });
 }
 
@@ -143,7 +101,7 @@ RFIC_REALTIME void HBBlockPreconditioner::apply(const RVec& r, RVec& z) const {
     rhs.resize(n);  // rt: allow(rt-alloc) grow-once thread-local rhs gather;
                     // no-op at steady state (same n every call)
     for (std::size_t u = 0; u < n; ++u) rhs[u] = W.pcSpec(u, j);
-    blocks_[j].solve(rhs, sol, scratchY, scratchZ);
+    blocks_[j].lu().solve(rhs, sol, scratchY, scratchZ);
     for (std::size_t u = 0; u < n; ++u) W.pzSpec(u, j) = sol[u];
   });
   perf::global().addSolve(timer.ns());

@@ -15,10 +15,11 @@
 // expression is exactly block-diagonal: one complex factorization
 // Ḡ + jω_κ·C̄ per retained harmonic κ. This pairing is the "iterative
 // linear algebra" enabler of full-chip HB cited in Section 2.1 [10, 31].
-// The blocks persist across Newton iterations: after the first build each
-// update() is a numeric refactorization on the recorded pivot order, and
-// the independent per-harmonic factorizations run on the process thread
-// pool.
+// Each block is a sparse::Pencil over the workspace's shared G/C pattern
+// and the averaged value arrays. The blocks persist across Newton
+// iterations: after the first build each update() is a numeric
+// refactorization on the recorded pivot order, and the independent
+// per-harmonic factorizations run on the process thread pool.
 #pragma once
 
 #include <vector>
@@ -27,8 +28,8 @@
 #include "numeric/dense.hpp"
 #include "perf/perf.hpp"
 #include "sparse/krylov.hpp"
+#include "sparse/pencil.hpp"
 #include "sparse/sparse_matrix.hpp"
-#include "sparse/symbolic_lu.hpp"
 
 namespace rfic::hb {
 
@@ -59,18 +60,17 @@ class HBOperator final : public sparse::LinearOperator<Real> {
 /// every retained harmonic independently.
 class HBBlockPreconditioner final : public sparse::LinearOperator<Real> {
  public:
-  /// Persistent form: construct once, update() every Newton iteration.
+  /// Construct once, update() every Newton iteration.
   explicit HBBlockPreconditioner(const HarmonicBalance& engine);
-  /// One-shot convenience: construct and factor immediately.
-  HBBlockPreconditioner(const HarmonicBalance& engine,
-                        const sparse::RTriplets& gAvg,
-                        const sparse::RTriplets& cAvg);
 
-  /// (Re)factor every harmonic block from new time averages. While the
-  /// union pattern of Ḡ and C̄ is unchanged, each block is a cheap numeric
-  /// refactorization; the independent blocks run in parallel on
-  /// perf::ThreadPool::global().
-  void update(const sparse::RTriplets& gAvg, const sparse::RTriplets& cAvg);
+  /// (Re)factor every harmonic block Ḡ + jω_κ·C̄ from the time averages
+  /// gAvg/cAvg over `pattern`. The blocks keep viewing these three, so they
+  /// must outlive the preconditioner's use. While `patternVersion` (the
+  /// workspace's MnaWorkspace::patternVersion()) is unchanged each block is
+  /// a cheap numeric refactorization; the independent blocks run in
+  /// parallel on perf::ThreadPool::global().
+  void update(const sparse::RCSR& pattern, const std::vector<Real>& gAvg,
+              const std::vector<Real>& cAvg, std::size_t patternVersion);
 
   std::size_t dim() const override;
   /// M⁻¹·r — per-harmonic block solves; allocation-free in steady state.
@@ -79,14 +79,8 @@ class HBBlockPreconditioner final : public sparse::LinearOperator<Real> {
 
  private:
   const HarmonicBalance& eng_;
-  // Union pattern of Ḡ and C̄; packed.values() carries (g, c) as the real
-  // and imaginary parts, so block κ's values are Complex(g_p, ω_κ·c_p).
-  sparse::CCSR packed_;
-  bool havePattern_ = false;
-  std::vector<sparse::CSymbolicLU> blocks_;
-  /// Persistent per-block value arrays: update() overwrites them in place,
-  /// so refactorization sweeps after the first allocate nothing.
-  std::vector<std::vector<Complex>> blockVals_;
+  std::vector<sparse::Pencil> blocks_;  ///< one per retained harmonic
+  std::size_t patternVersion_ = 0;      ///< pattern the blocks analyzed
 };
 
 }  // namespace rfic::hb

@@ -11,8 +11,8 @@
 #include <memory>
 
 #include "numeric/dense.hpp"
-#include "sparse/sparse_lu.hpp"
 #include "sparse/sparse_matrix.hpp"
+#include "sparse/symbolic_lu.hpp"
 
 namespace rfic::rom {
 
@@ -26,12 +26,12 @@ struct DescriptorSystem {
   RVec b;  ///< input vector
   RVec l;  ///< output vector
 
-  /// Exact transfer function by one sparse complex solve.
+  /// Exact transfer function by one sparse complex factorization and solve.
   Complex transferFunction(Complex s) const;
 };
 
-/// Krylov workhorse shared by PVL/Arnoldi/PRIMA: applies A = K⁻¹C and
-/// computes r = K⁻¹b with a single factorization of K = G + s0·C.
+/// Krylov workhorse shared by PVL/Arnoldi/PRIMA: applies A = K⁻¹C (and Aᵀ)
+/// and computes r = K⁻¹b with a single factorization of K = G + s0·C.
 class ExpansionOperator {
  public:
   ExpansionOperator(const DescriptorSystem& sys, Real s0);
@@ -45,8 +45,7 @@ class ExpansionOperator {
  private:
   const DescriptorSystem& sys_;
   sparse::RCSR c_;
-  sparse::RSparseLU k_;       // K
-  sparse::RSparseLU kT_;      // Kᵀ (separate factorization)
+  sparse::RSymbolicLU k_;  // K, factored once; Kᵀ solves reuse it
   RVec r_;
 };
 

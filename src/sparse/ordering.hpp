@@ -1,6 +1,6 @@
-// Fill-reducing pivot pre-ordering for the sparse LU factorizers.
+// Fill-reducing pivot pre-ordering for the sparse LU factorizer.
 //
-// The Markowitz/threshold search in SparseLU/SymbolicLU chooses good pivots
+// The Markowitz/threshold search in SymbolicLU chooses good pivots
 // but pays an O(n) candidate scan per elimination step — O(n²) for the whole
 // analysis — which is what makes 100k-node MNA systems infeasible even
 // though the numeric work itself is nearly linear in the fill. The classic
@@ -16,7 +16,7 @@
 //  - a process-wide default (CLI `--ordering=natural|amd`),
 //  - a per-thread override (the daemon's per-job `ordering` submit field,
 //    installed around the job so every workspace the job creates sees it),
-//  - an explicit Options::ordering on the factorizers (tests, benches).
+//  - an explicit ordering on the factorizer or pencil (tests, benches).
 // `Natural` pins today's full Markowitz search and is the default — the
 // golden byte-equality references all run in natural order.
 #pragma once

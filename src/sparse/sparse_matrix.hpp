@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "numeric/dense.hpp"
@@ -61,6 +62,17 @@ class CSR {
  public:
   CSR() = default;
   explicit CSR(const Triplets<T>& t);
+  /// `pattern`'s structure carrying `values`, one per stored position — a
+  /// pattern shared with value arrays of another element type.
+  template <class U>
+  CSR(const CSR<U>& pattern, std::vector<T> values)
+      : rows_(pattern.rows()),
+        cols_(pattern.cols()),
+        rowPtr_(pattern.rowPtr()),
+        colIdx_(pattern.colIdx()),
+        val_(std::move(values)) {
+    RFIC_REQUIRE(val_.size() == colIdx_.size(), "CSR: value count mismatch");
+  }
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

@@ -57,8 +57,8 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
 
 // Full elimination recording the slot-level update program for later
 // replay. Pivot choice depends on the ordering: Natural runs the classic
-// full Markowitz/threshold search (mirrors SparseLU, bit-for-bit the same
-// pivots as before the ordering stage existed); Amd eliminates columns in
+// full Markowitz/threshold search (bit-for-bit the same pivots as before
+// the ordering stage existed); Amd eliminates columns in
 // the precomputed fill-reducing sequence and only chooses the pivot *row*
 // numerically — threshold first, then the shortest active row (the
 // Markowitz count with the column fixed), ties to the larger magnitude.
@@ -145,7 +145,7 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
         failNumerical("SymbolicLU: matrix is singular");
     } else {
       // Natural: minimize the Markowitz product among entries passing the
-      // relative threshold (same strategy as SparseLU).
+      // relative threshold.
       std::size_t bestMark = std::numeric_limits<std::size_t>::max();
       Real bestMag = 0;
 
@@ -523,6 +523,35 @@ RFIC_REALTIME void SymbolicLU<T>::solve(const Vec<T>& b, Vec<T>& x,
       s -= uVal_[q] * x[uCol_[q]];
     x[pivCol_[k]] = s / pivVal_[k];
   }
+}
+
+// The factors satisfy Ã = L̃·Ũ for Ã(k, j) = A(pivRow_[k], pivCol_[j]), so
+// Aᵀ·x = b is Ũᵀ·t = (b at pivCol_) forward, then L̃ᵀ·v = t backward with
+// x[pivRow_[k]] = v_k — the two triangular passes of solve() run transposed.
+template <class T>
+Vec<T> SymbolicLU<T>::solveTransposed(const Vec<T>& b) const {
+  RFIC_REQUIRE(analyzed_, "SymbolicLU::solveTransposed before factor");
+  RFIC_REQUIRE(b.size() == n_, "SymbolicLU::solveTransposed size mismatch");
+  // Forward with Ũᵀ: column-oriented over the U rows, w indexed by column.
+  Vec<T> w = b;
+  Vec<T> t(n_);
+  for (std::size_t k = 0; k < n_; ++k) {
+    const T tk = w[pivCol_[k]] / pivVal_[k];
+    t[k] = tk;
+    if (tk == T{}) continue;
+    for (std::size_t q = uPtr_[k]; q < uPtr_[k + 1]; ++q)
+      w[uCol_[q]] -= uVal_[q] * tk;
+  }
+  // Backward with L̃ᵀ: the L rows of step k were pivoted at later steps, so
+  // their entries of x are final when step k is reached.
+  Vec<T> x(n_);
+  for (std::size_t k = n_; k-- > 0;) {
+    T s = t[k];
+    for (std::size_t q = lPtr_[k]; q < lPtr_[k + 1]; ++q)
+      s -= lVal_[q] * x[lRow_[q]];
+    x[pivRow_[k]] = s;
+  }
+  return x;
 }
 
 template class SymbolicLU<Real>;

@@ -1,19 +1,21 @@
-// Symbolic/numeric split of the sparse LU factorization.
+// Symbolic/numeric split of the sparse LU factorization — the library's one
+// sparse factorizer.
 //
-// SparseLU redoes everything — Markowitz ordering, fill discovery, and the
-// numeric elimination — on every call, which is the right trade for one-shot
-// users (AC sweeps, S-parameters) but wasteful inside Newton loops where the
-// sparsity pattern never changes between iterations. SymbolicLU factors a
-// pattern ONCE with the same pivot strategy as SparseLU, and while doing so
-// records a flat "update program": a workspace slot for every position the
-// elimination ever touches (inputs and fill-in), the pivot/L/U slots per
-// step, and the (target, source) slot pairs of every elimination flop.
+// Inside Newton loops and frequency sweeps the sparsity pattern never
+// changes between factorizations, so redoing the Markowitz ordering and
+// fill discovery every time is waste. SymbolicLU factors a pattern ONCE
+// with threshold pivoting, and while doing so records a flat "update
+// program": a workspace slot for every position the elimination ever
+// touches (inputs and fill-in), the pivot/L/U slots per step, and the
+// (target, source) slot pairs of every elimination flop. One-shot users
+// (the ROM expansion point) simply factor once and never replay.
 //
 // refactor(values) then replays that program on new numeric values — no
 // hashing, no ordering, no allocation — in time proportional to the flop
 // count of the original factorization. Because fill depends only on the
 // pattern and the pivot order, the replay is bit-for-bit the same arithmetic
-// a fresh factorization with the same pivots would perform.
+// a fresh factorization with the same pivots would perform. The complex
+// frequency sweeps drive it through sparse::Pencil (sparse/pencil.hpp).
 //
 // Two scaling features layer on top (see DESIGN.md §13):
 //
@@ -124,6 +126,10 @@ class SymbolicLU {
   /// use and are reused untouched afterwards). `b` must not alias them.
   RFIC_REALTIME void solve(const Vec<T>& b, Vec<T>& x, Vec<T>& scratchY,
                            Vec<T>& scratchZ) const;
+
+  /// x = A⁻ᵀ·b (plain transpose, no conjugation) on the same factors — the
+  /// adjoint solve of noise analysis and the two-sided Lanczos process.
+  Vec<T> solveTransposed(const Vec<T>& b) const;
 
  private:
   void analyzeFromValues(const T* vals);

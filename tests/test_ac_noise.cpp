@@ -3,19 +3,29 @@
 
 #include <cmath>
 #include <memory>
+#include <random>
+#include <string>
 
 #include "analysis/ac.hpp"
 #include "analysis/dc.hpp"
 #include "analysis/noise.hpp"
 #include "circuit/devices.hpp"
+#include "circuit/mna_workspace.hpp"
 #include "circuit/semiconductors.hpp"
 #include "circuit/sources.hpp"
+#include "sparse/ordering.hpp"
+#include "sparse/symbolic_lu.hpp"
 
 namespace rfic::analysis {
 namespace {
 
 using namespace rfic::circuit;
 using numeric::RVec;
+
+// The one-point AC solve: a sweep of a single frequency.
+CVec acAt(const MnaSystem& sys, const RVec& xop, Real f, const CVec& u) {
+  return acSweep(sys, xop, {f}, u).x.front();
+}
 
 class RCLowpassFreqs : public ::testing::TestWithParam<Real> {};
 
@@ -29,7 +39,7 @@ TEST_P(RCLowpassFreqs, TransferMatchesAnalytic) {
   MnaSystem sys(c);
   const Real f = GetParam();
   const auto u = acStimulusVSource(sys, vs);
-  const auto y = acSolve(sys, RVec(sys.dim(), 0.0), f, u);
+  const auto y = acAt(sys, RVec(sys.dim(), 0.0), f, u);
   const Complex h = y[static_cast<std::size_t>(out)];
   const Complex href = 1.0 / Complex(1.0, kTwoPi * f * 1e-6);
   EXPECT_NEAR(std::abs(h - href), 0.0, 1e-9);
@@ -52,7 +62,7 @@ TEST(AC, RLCResonanceAndQ) {
   const Real f0 = 1.0 / (kTwoPi * std::sqrt(1e-6 * 1e-9));  // ≈ 5.03 MHz
   const Real q = std::sqrt(1e-6 / 1e-9) / 10.0;              // ≈ 3.16
   const auto u = acStimulusVSource(sys, vs);
-  const auto y = acSolve(sys, RVec(sys.dim(), 0.0), f0, u);
+  const auto y = acAt(sys, RVec(sys.dim(), 0.0), f0, u);
   EXPECT_NEAR(std::abs(y[static_cast<std::size_t>(out)]), q, 0.02 * q);
 }
 
@@ -71,7 +81,7 @@ TEST(AC, LinearizedDiodeSmallSignalResistance) {
   const Real id = (5.0 - vd) / 10000.0;
   const Real rd = kVt300 / id;
   const auto u = acStimulusVSource(sys, vs);
-  const auto y = acSolve(sys, dc.x, 1.0, u);  // low frequency
+  const auto y = acAt(sys, dc.x, 1.0, u);  // low frequency
   const Real hExp = rd / (rd + 10000.0);
   EXPECT_NEAR(std::abs(y[static_cast<std::size_t>(a)]), hExp, 1e-3 * hExp);
 }
@@ -88,6 +98,77 @@ TEST(AC, SweepReturnsOnePointPerFrequency) {
                              acStimulusVSource(sys, vs));
   EXPECT_EQ(sweep.freq.size(), 25u);
   EXPECT_EQ(sweep.x.size(), 25u);
+}
+
+// k×k RC mesh driven at one corner — the tools/gen_mesh.py topology with
+// deterministic ±25% value spread.
+void buildRcMesh(Circuit& c, std::size_t k) {
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<Real> spread(0.75, 1.25);
+  std::vector<int> node(k * k);
+  for (std::size_t u = 0; u < k * k; ++u)
+    node[u] = c.node("n" + std::to_string(u));
+  const int br = c.allocBranch("V1");
+  c.add<VSource>("V1", node[0], -1, br, std::make_shared<DCWave>(0.0));
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t u = i * k + j;
+      const std::string id = std::to_string(u);
+      if (j + 1 < k)
+        c.add<Resistor>("Rh" + id, node[u], node[u + 1], 1e3 * spread(rng));
+      if (i + 1 < k)
+        c.add<Resistor>("Rv" + id, node[u], node[u + k], 1e3 * spread(rng));
+      c.add<Capacitor>("C" + id, node[u], -1, 1e-12 * spread(rng));
+    }
+}
+
+TEST(AC, PencilSweepMatchesFreshFactorizationPerPoint) {
+  // acSweep analyzes the (G + jωC) pencil once and refactors it per point;
+  // a fresh CSymbolicLU analysis at every point is the oracle. Two circuit
+  // families: a generated RC mesh, and a diode linearized at its DC point.
+  Circuit mesh;
+  buildRcMesh(mesh, 10);
+  Circuit diode;
+  {
+    const int in = diode.node("in"), a = diode.node("a");
+    const int br = diode.allocBranch("V1");
+    diode.add<VSource>("V1", in, -1, br, std::make_shared<DCWave>(0.7));
+    diode.add<Resistor>("R1", in, a, 100.0);
+    diode.add<Diode>("D1", a, -1, Diode::Params{});
+    diode.add<Capacitor>("C1", a, -1, 1e-9);
+  }
+  const auto freqs = logspace(1e3, 1e10, 8);
+  for (Circuit* c : {&mesh, &diode}) {
+    MnaSystem sys(*c);
+    const auto dc = dcOperatingPoint(sys);
+    ASSERT_TRUE(dc.converged);
+    const auto* vs = dynamic_cast<const VSource*>(c->devices().front().get());
+    ASSERT_NE(vs, nullptr);
+    const CVec u = acStimulusVSource(sys, *vs);
+    MnaWorkspace ws(sys);
+    ws.eval(dc.x, 0.0, true);
+    for (const sparse::Ordering ord :
+         {sparse::Ordering::Natural, sparse::Ordering::Amd}) {
+      const sparse::ScopedOrderingOverride scoped(ord);
+      const auto sweep = acSweep(sys, dc.x, freqs, u);
+      for (std::size_t k = 0; k < freqs.size(); ++k) {
+        const Real w = kTwoPi * freqs[k];
+        std::vector<Complex> vals(ws.gValues().size());
+        for (std::size_t p = 0; p < vals.size(); ++p)
+          vals[p] = Complex(ws.gValues()[p], w * ws.cValues()[p]);
+        const sparse::CSymbolicLU fresh(sparse::CCSR(ws.pattern(), vals),
+                                        {.ordering = ord});
+        const CVec xf = fresh.solve(u);
+        Real err = 0, ref = 0;
+        for (std::size_t i = 0; i < xf.size(); ++i) {
+          err = std::max(err, std::abs(sweep.x[k][i] - xf[i]));
+          ref = std::max(ref, std::abs(xf[i]));
+        }
+        EXPECT_LE(err, 1e-12 * ref)
+            << sparse::toString(ord) << " n=" << sys.dim() << " f=" << freqs[k];
+      }
+    }
+  }
 }
 
 TEST(AC, Logspace) {

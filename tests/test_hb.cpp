@@ -250,6 +250,29 @@ TEST(HB, SteadyStateSolveIsAllocationFree) {
   EXPECT_GT(again.perf.fftCount, 0u);
 }
 
+TEST(HB, SolveCountersSeeThePlanCache) {
+  // The solve looks its spectral plans up inside its own CounterScope, so
+  // HBSolution::perf accounts for the plan cache even when the engine was
+  // built outside that scope (every solve after the first is all hits).
+  Circuit c;
+  const int in = c.node("in"), out = c.node("out");
+  const int br = c.allocBranch("V1");
+  c.add<VSource>("V1", in, -1, br, std::make_shared<SineWave>(0.5, 1e6));
+  c.add<Resistor>("R1", in, out, 1000.0);
+  c.add<Diode>("D1", out, -1, Diode::Params{});
+  MnaSystem sys(c);
+  const auto dc = dcOperatingPoint(sys);
+  const HarmonicBalance eng(sys, {{1e6, 5}});
+  for (int rep = 0; rep < 2; ++rep) {
+    const auto sol = eng.solve(dc.x);
+    ASSERT_TRUE(sol.converged);
+    EXPECT_GT(sol.perf.planCacheHits + sol.perf.planCacheMisses, 0u);
+    if (rep == 1) {
+      EXPECT_EQ(sol.perf.planCacheMisses, 0u);
+    }
+  }
+}
+
 // ---------- Spectral transforms: paired, column-pruned vs full grid -----
 
 // Grid bin of harmonic k on an axis of length m (|k| < m).

@@ -52,9 +52,9 @@ TEST(CrossMethod, HBAndACAndPSSAgreeOnLinearRLC) {
 
   // AC reference.
   const auto* vs = dynamic_cast<const VSource*>(c.devices().front().get());
-  const auto y = analysis::acSolve(sys, dc.x, 4e6,
-                                   analysis::acStimulusVSource(sys, *vs));
-  const Real ampAC = 0.5 * std::abs(y[out]);
+  const auto ac = analysis::acSweep(sys, dc.x, {4e6},
+                                    analysis::acStimulusVSource(sys, *vs));
+  const Real ampAC = 0.5 * std::abs(ac.x.front()[out]);
 
   // HB.
   const auto sol = hb::HarmonicBalance(sys, {{4e6, 4}}).solve(dc.x);

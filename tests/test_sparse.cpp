@@ -1,12 +1,14 @@
-// Sparse storage, Markowitz LU, and Krylov solvers.
+// Sparse storage, the Markowitz SymbolicLU factorizer, the (G + sC) pencil,
+// and Krylov solvers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
 #include "numeric/lu.hpp"
+#include "perf/perf.hpp"
 #include "sparse/krylov.hpp"
-#include "sparse/sparse_lu.hpp"
+#include "sparse/pencil.hpp"
 #include "sparse/sparse_matrix.hpp"
 #include "sparse/symbolic_lu.hpp"
 
@@ -75,59 +77,66 @@ TEST(CSR, TransposeMultiplyMatchesDense) {
   for (std::size_t i = 0; i < 15; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-13);
 }
 
-class SparseLUCases
+class SymbolicLUCases
     : public ::testing::TestWithParam<std::tuple<std::size_t, Real>> {};
 
-TEST_P(SparseLUCases, SolvesRandomSystems) {
+TEST_P(SymbolicLUCases, SolvesRandomSystems) {
   const auto [n, density] = GetParam();
   const auto t = randomSparse(n, density, 50 + n, 4.0);
   const RVec xref = randomVec(n, 60 + n);
   const RVec b = RCSR(t) * xref;
-  RSparseLU lu(t);
+  const RSymbolicLU lu{RCSR(t)};
   const RVec x = lu.solve(b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Cases, SparseLUCases,
+    Cases, SymbolicLUCases,
     ::testing::Values(std::tuple<std::size_t, Real>{5, 0.5},
                       std::tuple<std::size_t, Real>{30, 0.15},
                       std::tuple<std::size_t, Real>{100, 0.05},
                       std::tuple<std::size_t, Real>{300, 0.02}));
 
-TEST(SparseLU, MatchesDenseOnSmallSystem) {
+TEST(SymbolicLU, MatchesDenseOnSmallSystem) {
   const auto t = randomSparse(12, 0.4, 70, 3.0);
   const RVec b = randomVec(12, 71);
-  const RVec xs = RSparseLU(t).solve(b);
+  const RVec xs = RSymbolicLU(RCSR(t)).solve(b);
   const RVec xd = numeric::solveDense(t.toDense(), b);
   for (std::size_t i = 0; i < 12; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-9);
 }
 
-TEST(SparseLU, ComplexSystem) {
-  const std::size_t n = 25;
+CTriplets randomComplexSparse(std::size_t n, std::uint64_t seed) {
   CTriplets t(n, n);
-  std::mt19937_64 rng(80);
+  std::mt19937_64 rng(seed);
   std::uniform_real_distribution<Real> u(-1, 1);
   for (std::size_t i = 0; i < n; ++i) {
     t.add(i, i, Complex(3.0 + u(rng), u(rng)));
     t.add(i, (i + 3) % n, Complex(u(rng), u(rng)));
   }
+  return t;
+}
+
+TEST(SymbolicLU, ComplexSystem) {
+  const std::size_t n = 25;
+  const CTriplets t = randomComplexSparse(n, 80);
+  std::mt19937_64 rng(81);
+  std::uniform_real_distribution<Real> u(-1, 1);
   numeric::CVec xref(n);
   for (auto& v : xref) v = Complex(u(rng), u(rng));
   const numeric::CVec b = CCSR(t) * xref;
-  const numeric::CVec x = CSparseLU(t).solve(b);
+  const numeric::CVec x = CSymbolicLU(CCSR(t)).solve(b);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(std::abs(x[i] - xref[i]), 0.0, 1e-10);
 }
 
-TEST(SparseLU, SingularMatrixThrows) {
+TEST(SymbolicLU, SingularMatrixThrows) {
   RTriplets t(3, 3);
   t.add(0, 0, 1.0);
   t.add(1, 1, 1.0);  // row/col 2 empty
-  EXPECT_THROW(RSparseLU{t}, NumericalError);
+  EXPECT_THROW(RSymbolicLU{RCSR(t)}, NumericalError);
 }
 
-TEST(SparseLU, TridiagonalHasNoFill) {
+TEST(SymbolicLU, TridiagonalHasNoFill) {
   const std::size_t n = 50;
   RTriplets t(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -137,12 +146,13 @@ TEST(SparseLU, TridiagonalHasNoFill) {
       t.add(i + 1, i, -1.0);
     }
   }
-  RSparseLU lu(t);
-  // Perfect elimination order: factor nnz stays O(n).
+  const RSymbolicLU lu{RCSR(t)};
+  // Perfect elimination order: the factor holds exactly the input entries.
+  EXPECT_EQ(lu.factorNnz(), lu.patternNnz());
   EXPECT_LE(lu.factorNnz(), 3 * n);
 }
 
-TEST(SparseLU, ArrowMatrixMarkowitzAvoidsFill) {
+TEST(SymbolicLU, ArrowMatrixMarkowitzAvoidsFill) {
   // Arrow matrix: dense first row/col. Natural-order elimination fills the
   // whole matrix; Markowitz should defer the hub and keep the factor O(n).
   const std::size_t n = 60;
@@ -152,7 +162,7 @@ TEST(SparseLU, ArrowMatrixMarkowitzAvoidsFill) {
     t.add(0, i, 1.0);
     t.add(i, 0, 1.0);
   }
-  RSparseLU lu(t);
+  const RSymbolicLU lu(RCSR(t), {.ordering = Ordering::Natural});
   EXPECT_LE(lu.factorNnz(), 4 * n);
   const RVec xref = randomVec(n, 90);
   const RVec b = RCSR(t) * xref;
@@ -160,16 +170,64 @@ TEST(SparseLU, ArrowMatrixMarkowitzAvoidsFill) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-9);
 }
 
-TEST(SparseLU, ZeroDiagonalRequiresOffDiagonalPivot) {
+TEST(SymbolicLU, ZeroDiagonalRequiresOffDiagonalPivot) {
   // [0 1; 1 0] — diagonal pivots impossible.
   RTriplets t(2, 2);
   t.add(0, 1, 1.0);
   t.add(1, 0, 1.0);
-  RSparseLU lu(t);
+  const RSymbolicLU lu{RCSR(t)};
   RVec b{3.0, 5.0};
   const RVec x = lu.solve(b);
   EXPECT_NEAR(x[0], 5.0, 1e-14);
   EXPECT_NEAR(x[1], 3.0, 1e-14);
+}
+
+TEST(SymbolicLU, SolveTransposedMatchesDense) {
+  // Real: a nonsymmetric random system, both orderings.
+  const std::size_t n = 40;
+  const auto t = randomSparse(n, 0.1, 95, 3.0);
+  const RVec b = randomVec(n, 96);
+  const RVec xd = numeric::solveDense(t.toDense().transposed(), b);
+  for (const Ordering ord : {Ordering::Natural, Ordering::Amd}) {
+    const RSymbolicLU lu(RCSR(t), {.ordering = ord});
+    const RVec x = lu.solveTransposed(b);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(x[i], xd[i], 1e-10 * (1.0 + std::abs(xd[i])));
+  }
+  // Complex: plain transpose, no conjugation.
+  const CTriplets tc = randomComplexSparse(30, 97);
+  numeric::CVec bc(30);
+  for (std::size_t i = 0; i < 30; ++i) bc[i] = Complex(1.0 + i, 0.5 * i);
+  const numeric::CVec xc = CSymbolicLU(CCSR(tc)).solveTransposed(bc);
+  const numeric::CVec xcd =
+      numeric::solveDense(tc.toDense().transposed(), bc);
+  for (std::size_t i = 0; i < 30; ++i)
+    EXPECT_NEAR(std::abs(xc[i] - xcd[i]), 0.0, 1e-10 * (1.0 + std::abs(xcd[i])));
+}
+
+TEST(Pencil, BooksEveryFactorizationAndSolve) {
+  RTriplets g(2, 2), c(2, 2);
+  g.add(0, 0, 1.0);
+  g.add(1, 1, 1.0);
+  g.add(0, 1, -0.5);
+  c.add(0, 0, 1e-3);
+  c.add(1, 0, 2e-3);
+  const PencilMatrices m = packPencil(g, c);
+  ASSERT_EQ(m.pattern.nnz(), 4u);  // union of G and C
+  perf::Counters counters;
+  {
+    const perf::CounterScope scope(counters);
+    Pencil pencil(m.pattern, m.g, m.c);
+    for (const Real w : {1.0, 10.0, 100.0}) {
+      pencil.factor({0.0, w});
+      (void)pencil.solve(numeric::CVec(2, Complex(1.0, 0.0)));
+    }
+    (void)pencil.solveTransposed(numeric::CVec(2, Complex(1.0, 0.0)));
+  }
+  const perf::Snapshot s = counters.snapshot();
+  EXPECT_EQ(s.factorizations, 1u);
+  EXPECT_EQ(s.refactorizations, 2u);
+  EXPECT_EQ(s.solves, 4u);
 }
 
 // ------------------------------------------------------- Krylov solvers

@@ -17,7 +17,6 @@
 
 #include "perf/thread_pool.hpp"
 #include "sparse/ordering.hpp"
-#include "sparse/sparse_lu.hpp"
 #include "sparse/sparse_matrix.hpp"
 #include "sparse/symbolic_lu.hpp"
 
@@ -165,12 +164,12 @@ TEST(SymbolicOrdering, AmdMatchesNaturalOnMesh) {
   for (std::size_t i = 0; i < k * k; ++i) EXPECT_NEAR(r[i], b[i], 1e-9);
 }
 
-TEST(SparseLUOrdering, OneShotAmdMatchesNatural) {
+TEST(SymbolicOrdering, OneShotAmdMatchesNatural) {
   for (const std::uint64_t seed : {500u, 501u}) {
     const std::size_t n = 70;
     const auto t = randomSparse(n, 0.07, seed, 4.0);
-    RSparseLU nat(t, {.ordering = Ordering::Natural});
-    RSparseLU amd(t, {.ordering = Ordering::Amd});
+    const RSymbolicLU nat(RCSR(t), {.ordering = Ordering::Natural});
+    const RSymbolicLU amd(RCSR(t), {.ordering = Ordering::Amd});
     const RVec b = randomVec(n, seed + 9);
     const RVec xn = nat.solve(b);
     const RVec xa = amd.solve(b);
@@ -278,7 +277,6 @@ TEST(SymbolicOrdering, SingularRejectionUnchangedUnderAmd) {
   s.add(1, 1, 1.0);
   EXPECT_THROW(RSymbolicLU(RCSR(s), {.ordering = Ordering::Amd}),
                NumericalError);
-  EXPECT_THROW(RSparseLU(s, {.ordering = Ordering::Amd}), NumericalError);
 }
 
 }  // namespace
